@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import bisect
 import enum
+import math
 from dataclasses import dataclass, field
 from datetime import datetime
 
@@ -55,6 +56,10 @@ class DerSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("DER name must be non-empty")
+        for label in ("lower_bound", "upper_bound", "charge_ratio", "discharge_ratio"):
+            value = getattr(self, label)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{self.name}: {label} must be finite, got {value}")
         if self.lower_bound < 0:
             raise ValueError(f"{self.name}: lower_bound must be >= 0")
         if self.lower_bound > self.upper_bound:
@@ -131,6 +136,8 @@ class LoadProfile:
         for a, b in zip(self.times, self.times[1:]):
             if b <= a:
                 raise ValueError("timestamps must be strictly increasing")
+        if not all(math.isfinite(x) for x in self.durations_s + self.demand_kw):
+            raise ValueError("durations and demand must be finite")
         if any(d <= 0 for d in self.durations_s):
             raise ValueError("durations must be > 0")
         if any(p < 0 for p in self.demand_kw):
@@ -308,16 +315,20 @@ def dominates(a: EvaluatedDesign, b: EvaluatedDesign) -> bool:
 
 
 def non_dominated(designs: list[EvaluatedDesign]) -> list[EvaluatedDesign]:
-    """Deduplicate by capacity vector, drop dominated entries, sort ascending."""
+    """Deduplicate by capacity vector, drop dominated entries, sort ascending.
+
+    Deficit ratios and capacities must not be NaN. Sorted by (deficit ratio,
+    capacities), a dominator comes strictly before whatever it dominates,
+    and dominance is transitive, so each entry only needs checking against
+    the entries already kept.
+    """
     seen: dict[tuple[float, ...], EvaluatedDesign] = {}
     for d in designs:
         seen.setdefault(d.capacities, d)
-    unique = list(seen.values())
-    kept = [
-        d
-        for d in unique
-        if not any(other is not d and dominates(other, d) for other in unique)
-    ]
+    kept: list[EvaluatedDesign] = []
+    for d in sorted(seen.values(), key=lambda d: (d.deficit_ratio, d.capacities)):
+        if not any(dominates(k, d) for k in kept):
+            kept.append(d)
     kept.sort(key=lambda d: d.capacities)
     return kept
 

@@ -39,6 +39,7 @@ from .search import (
     SearchReport,
     SearchSpaceTooLarge,
     exhaustive_search,
+    grid_size,
     run_pipeline,
 )
 from .simulator import DispatchConfig, SimulationCache, memoized_operate
@@ -126,6 +127,8 @@ def parse_load_profile(text: str) -> LoadProfile:
             kw = float(raw_load)
         except ValueError:
             raise ParseError(f"line {line_no}: invalid load value {raw_load!r}") from None
+        if not math.isfinite(kw):
+            raise ParseError(f"line {line_no}: load must be finite, got {raw_load!r}")
         if kw < 0:
             raise ParseError(f"line {line_no}: negative load {kw}")
         times.append(stamp)
@@ -248,6 +251,9 @@ def _parse_der_entry(data: dict, index: int) -> DerConfigEntry:
         )
     if data.get("upper_bound") is not None and data.get("peak_multiplier") is not None:
         raise ValueError(f"{context}: give upper_bound or peak_multiplier, not both")
+    multiplier = data.get("peak_multiplier")
+    if multiplier is not None and not math.isfinite(float(multiplier)):
+        raise ValueError(f"{context} ({data['name']}): peak_multiplier must be finite, got {multiplier}")
     return DerConfigEntry(
         name=str(data["name"]),
         kind=_KIND_BY_NAME[kind_raw],
@@ -298,6 +304,9 @@ def parse_config(text: str, base_dir: str = ".") -> PipelineConfigFile:
     load_path = data.get("load_path")
     if not load_path:
         raise ValueError("config: load_path is required")
+    precision = float(data.get("capacity_precision", DEFAULT_CAPACITY_PRECISION))
+    if not math.isfinite(precision):
+        raise ValueError(f"config: capacity_precision must be finite, got {precision}")
 
     return PipelineConfigFile(
         ders=ders,
@@ -306,7 +315,7 @@ def parse_config(text: str, base_dir: str = ".") -> PipelineConfigFile:
         wind_series_path=wind_series_path,
         load_path=str(load_path),
         output_path=None if data.get("output_path") is None else str(data["output_path"]),
-        capacity_precision=float(data.get("capacity_precision", DEFAULT_CAPACITY_PRECISION)),
+        capacity_precision=precision,
         base_dir=base_dir,
     )
 
@@ -490,6 +499,8 @@ def read_results_csv(text: str) -> tuple[list[str], list[str], list[EvaluatedDes
             unused = tuple(float(c) for c in row[deficit_at + 1 :])
         except ValueError:
             raise ParseError(f"line {line_no}: non-numeric value") from None
+        if not all(math.isfinite(v) for v in caps + (deficit,) + unused):
+            raise ParseError(f"line {line_no}: non-finite value")
         designs.append(
             EvaluatedDesign(design=MicrogridDesign(caps), deficit_ratio=deficit, unused_ratios=unused)
         )
@@ -578,20 +589,26 @@ def _cmd_exhaustive(args: argparse.Namespace) -> int:
     )
     threshold = config.search.deficit_display_threshold
     final = [d for d in non_dominated(simulated) if d.deficit_ratio <= threshold]
+    pruned = grid_size(space, levels, config.capacity_precision) - len(simulated)
     report = SearchReport(
         final_designs=tuple(final),
         all_simulated=cache.unique_simulations,
         per_stage_counts={
-            "exhaustive": {"simulations": cache.unique_simulations, "designs": len(simulated)}
+            "exhaustive": {
+                "simulations": cache.unique_simulations,
+                "designs": len(simulated),
+                "pruned": pruned,
+            }
         },
         elapsed_seconds=time.perf_counter() - started,
         seed=config.search.rng_seed,
     )
     log.info(
-        "exhaustive enumeration at %d levels: %d simulations, %d designs kept",
+        "exhaustive enumeration at %d levels: %d simulations, %d designs kept, %d pruned",
         levels,
         report.all_simulated,
         len(final),
+        pruned,
     )
     write_report(report, out_path, args.format, space)
     return 0

@@ -59,7 +59,7 @@ class SearchConfig:
             raise ValueError("fine_level_points must be >= coarse_level_points")
         if self.outer_passes is not None and self.outer_passes < 1:
             raise ValueError("outer_passes must be >= 1")
-        if self.deficit_display_threshold < 0:
+        if not self.deficit_display_threshold >= 0:  # also rejects NaN
             raise ValueError("deficit_display_threshold must be >= 0")
 
 
@@ -101,6 +101,13 @@ def build_grids(
     return tuple(capacity_grid(spec, level_points, precision) for spec in space.ders)
 
 
+def grid_size(
+    space: DesignSpace, level_points: int, precision: float = DEFAULT_CAPACITY_PRECISION
+) -> int:
+    """Number of candidate designs on the full capacity grid."""
+    return math.prod(len(g.points) for g in build_grids(space, level_points, precision))
+
+
 def exhaustive_search(
     cache: SimulationCache,
     space: DesignSpace,
@@ -118,7 +125,7 @@ def exhaustive_search(
     monotone simulator it can only be worse. Returns the simulated designs.
     """
     grids = build_grids(space, level_points, precision)
-    total = math.prod(len(g.points) for g in grids)
+    total = grid_size(space, level_points, precision)
     if total > safety_cap:
         raise SearchSpaceTooLarge(
             f"exhaustive enumeration of {total} candidates exceeds the cap of {safety_cap}"
@@ -344,10 +351,12 @@ def run_pipeline(
         cache, space, load, dispatch_config, search_config.coarse_level_points, precision
     )
     sims_stage1 = cache.unique_simulations
+    pruned = grid_size(space, search_config.coarse_level_points, precision) - len(coarse)
     log.info(
-        "exhaustive stage: %d designs simulated (%d grid points per DER)",
+        "exhaustive stage: %d designs simulated (%d grid points per DER), %d pruned",
         sims_stage1,
         search_config.coarse_level_points,
+        pruned,
     )
 
     rng = random.Random(search_config.rng_seed)
@@ -406,7 +415,7 @@ def run_pipeline(
         final_designs=tuple(final),
         all_simulated=sims_stage3,
         per_stage_counts={
-            "exhaustive": {"simulations": sims_stage1, "designs": len(coarse)},
+            "exhaustive": {"simulations": sims_stage1, "designs": len(coarse), "pruned": pruned},
             "binary_search": {"simulations": sims_stage2 - sims_stage1, "designs": len(refined)},
             "local_search": {"simulations": sims_stage3 - sims_stage2, "designs": len(polished)},
         },

@@ -14,7 +14,7 @@ import math
 import threading
 from dataclasses import dataclass, replace
 from datetime import datetime
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -54,6 +54,9 @@ class DispatchConfig:
         for f in factors:
             if not 0.0 <= f <= 1.0:
                 raise ValueError(f"wind capacity factor {f} outside [0, 1]")
+        for label in ("pv_daylight_start", "pv_daylight_end"):
+            if not math.isfinite(getattr(self, label)):
+                raise ValueError(f"{label} must be finite, got {getattr(self, label)}")
         for label, value in (
             ("pv_peak_factor", self.pv_peak_factor),
             ("bess_charge_efficiency", self.bess_charge_efficiency),
@@ -203,57 +206,167 @@ def dispatch_step(
     return tuple(used), tuple(new_states), flag
 
 
+class _LoadInvariants(NamedTuple):
+    """What every simulation of one (space, load, config) shares."""
+
+    pv_idx: tuple[int, ...]
+    wind_idx: tuple[int, ...]
+    bess_idx: tuple[int, ...]
+    diesel_idx: tuple[int, ...]
+    pv_factors: np.ndarray
+    wind_factors: np.ndarray
+    demand: np.ndarray
+    hours: tuple[float, ...]
+
+
+@functools.lru_cache(maxsize=8)
+def _load_invariants(space: DesignSpace, load: LoadProfile, config: DispatchConfig) -> _LoadInvariants:
+    """Computed once per search, not per simulation; the small bound keeps memory flat."""
+    pv_factors = pv_availability(load.times, config)
+    wind_factors = wind_availability(len(load), config)
+    demand = np.asarray(load.demand_kw, dtype=float)
+    for arr in (pv_factors, wind_factors, demand):
+        arr.flags.writeable = False  # shared by every caller of the cache
+    return _LoadInvariants(
+        *_merit_indices(space),
+        pv_factors=pv_factors,
+        wind_factors=wind_factors,
+        demand=demand,
+        hours=tuple(d / 3600.0 for d in load.durations_s),
+    )
+
+
+def _serve(available: np.ndarray, used: np.ndarray, remaining: np.ndarray) -> np.ndarray:
+    """One stateless unit covers what it can of the remaining load at every step.
+
+    Writes the unit's draw into `used` and returns the new remaining load,
+    with the same float operations `dispatch_step` applies per step.
+    """
+    take = np.minimum(remaining, available)
+    served = take > 0
+    np.copyto(used, take, where=served)
+    return np.where(served, remaining - take, remaining)
+
+
+def _step_batteries(
+    space: DesignSpace,
+    caps: tuple[float, ...],
+    bess: list[int],
+    renewables: tuple[int, ...],
+    available: np.ndarray,
+    used: np.ndarray,
+    remaining: np.ndarray,
+    hours: tuple[float, ...],
+    config: DispatchConfig,
+) -> np.ndarray:
+    """Run the battery recurrence of `dispatch_step` over time on plain floats.
+
+    Renewable surplus charges the batteries in merit order, then the
+    batteries discharge into the remaining load. Fills the battery rows of
+    `available` and `used`, adds charging draw to the renewable rows of
+    `used`, and returns the load left for diesel. The operation order is
+    that of `dispatch_step` and `discharge_capability_kw`, so every value is
+    bitwise equal to theirs.
+    """
+    eta_c = config.bess_charge_efficiency
+    eta_d = config.bess_discharge_efficiency
+    capacity = [caps[i] for i in bess]
+    stored = [config.bess_initial_soc * c for c in capacity]
+    floor = [config.bess_min_soc * c for c in capacity]
+    max_charge = [caps[i] / space.ders[i].charge_ratio for i in bess]
+    max_discharge = [caps[i] / space.ders[i].discharge_ratio for i in bess]
+    n_steps = len(hours)
+    bess_available = [[0.0] * n_steps for _ in bess]
+    bess_used = [[0.0] * n_steps for _ in bess]
+    ren_available = [available[j].tolist() for j in renewables]
+    ren_used = [used[j].tolist() for j in renewables]
+    rest = remaining.tolist()
+    batteries = range(len(bess))
+    sources = range(len(renewables))
+
+    for t, h in enumerate(hours):
+        for b in batteries:
+            usable = stored[b] - floor[b]
+            if usable > 0:
+                bess_available[b][t] = min(max_discharge[b], usable * eta_d / h)
+
+        for b in batteries:
+            headroom = capacity[b] - stored[b]
+            if headroom <= 0:
+                continue
+            budget = min(max_charge[b], headroom / (eta_c * h))
+            charged = 0.0
+            for k in sources:
+                take = min(ren_available[k][t] - ren_used[k][t], budget - charged)
+                if take > 0:
+                    ren_used[k][t] += take
+                    charged += take
+            if charged > 0:
+                stored[b] = stored[b] + charged * eta_c * h
+
+        r = rest[t]
+        for b in batteries:
+            if r <= 0:
+                break
+            usable = stored[b] - floor[b]
+            if usable <= 0:
+                continue
+            give = min(r, min(max_discharge[b], usable * eta_d / h))
+            if give > 0:
+                bess_used[b][t] = give
+                r -= give
+                stored[b] = stored[b] - give * h / eta_d
+        rest[t] = r
+
+    for k, j in enumerate(renewables):
+        used[j] = ren_used[k]
+    for b, i in enumerate(bess):
+        available[i] = bess_available[b]
+        used[i] = bess_used[b]
+    return np.array(rest)
+
+
 def operate(
     space: DesignSpace,
     design: MicrogridDesign,
     load: LoadProfile,
     config: DispatchConfig,
 ) -> SimulationOutcome:
-    """Fold the dispatch policy over the whole load horizon."""
+    """Fold the dispatch policy over the whole load horizon.
+
+    Bitwise equal to folding `dispatch_step` over time, its specification.
+    The stateless stages (renewables, then diesel, each serving load in
+    merit order) run elementwise over all steps at once; only the battery
+    state is stepped in time.
+    """
     space.validate_design(design)
-    pv_idx, wind_idx, bess_idx, diesel_idx = _merit_indices(space)
-    n_ders, n_steps = len(space.ders), len(load)
-
-    pv_factors = pv_availability(load.times, config)
-    wind_factors = wind_availability(n_steps, config)
-
-    available = np.zeros((n_ders, n_steps))
+    inv = _load_invariants(space, load, config)
     caps = design.capacities
-    for i in pv_idx:
-        available[i] = caps[i] * pv_factors
-    for i in wind_idx:
-        available[i] = caps[i] * wind_factors
-    for i in diesel_idx:
-        available[i] = caps[i]
+    available = np.zeros((len(space.ders), len(load)))
+    used = np.zeros_like(available)
 
-    states = tuple(
-        initial_bess_state(space.ders[i], caps[i], config) for i in bess_idx
-    )
+    remaining = inv.demand
+    for i in inv.pv_idx:
+        available[i] = caps[i] * inv.pv_factors
+        remaining = _serve(available[i], used[i], remaining)
+    for i in inv.wind_idx:
+        available[i] = caps[i] * inv.wind_factors
+        remaining = _serve(available[i], used[i], remaining)
 
-    demand = load.demand_kw
-    durations = load.durations_s
-    # battery availability is derived from state inside the loop; the zero
-    # placeholders in these rows are ignored by dispatch_step
-    avail_rows = available.T.tolist()
-    bess_avail: list[list[float]] = [[] for _ in bess_idx]
-    used_rows: list[tuple[float, ...]] = []
-    flags: list[int] = []
-
-    for t in range(n_steps):
-        duration = durations[t]
-        for b in range(len(bess_idx)):
-            bess_avail[b].append(discharge_capability_kw(states[b], config, duration))
-        used_t, states, flag = dispatch_step(
-            space, demand[t], avail_rows[t], states, config, duration
+    # a zero-capacity battery neither charges nor discharges: its rows stay 0
+    bess = [i for i in inv.bess_idx if caps[i] != 0.0]
+    if bess:
+        remaining = _step_batteries(
+            space, caps, bess, inv.pv_idx + inv.wind_idx,
+            available, used, remaining, inv.hours, config,
         )
-        used_rows.append(used_t)
-        flags.append(flag)
 
-    for b, i in enumerate(bess_idx):
-        available[i] = bess_avail[b]
-    used = np.array(used_rows).T.copy()
+    for i in inv.diesel_idx:
+        available[i] = caps[i]
+        remaining = _serve(available[i], used[i], remaining)
+
     return SimulationOutcome(
-        deficit_flags=np.array(flags, dtype=np.int8),
+        deficit_flags=(remaining > EPS_POWER).astype(np.int8),
         per_der_available=available,
         per_der_used=used,
     )

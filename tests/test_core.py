@@ -271,6 +271,7 @@ def test_non_dominated_matches_bruteforce():
             key=lambda d: d.capacities,
         )
         assert [d.capacities for d in kept] == [d.capacities for d in expected]
+        assert all(a is b for a, b in zip(kept, expected))  # first occurrence survives
         # no surviving pair dominates, every removed element is dominated by a survivor
         for a in kept:
             for b in kept:
@@ -324,6 +325,12 @@ def test_der_spec_validation():
         DerSpec(name="b", kind=DerKind.BATTERY_STORAGE, upper_bound=100.0)  # missing ratios
     with pytest.raises(ValueError):
         DerSpec(name="d", kind=DerKind.DIESEL_GENERATOR, upper_bound=100.0, charge_ratio=2.0)
+    with pytest.raises(ValueError, match="pv: upper_bound must be finite"):
+        DerSpec(name="pv", kind=DerKind.PHOTOVOLTAIC, upper_bound=math.nan)
+    with pytest.raises(ValueError, match="pv: lower_bound must be finite"):
+        DerSpec(name="pv", kind=DerKind.PHOTOVOLTAIC, lower_bound=math.inf, upper_bound=math.inf)
+    with pytest.raises(ValueError, match="b: discharge_ratio must be finite"):
+        DerSpec(name="b", kind=DerKind.BATTERY_STORAGE, upper_bound=1.0, charge_ratio=1.0, discharge_ratio=math.nan)
 
 
 def test_design_space_validation():
@@ -343,3 +350,7 @@ def test_load_profile_validation():
         LoadProfile(times=(good.times[1], good.times[0]), durations_s=(1.0, 1.0), demand_kw=(1.0, 1.0))
     with pytest.raises(ValueError):
         LoadProfile(times=good.times, durations_s=good.durations_s, demand_kw=(1.0, -2.0, 1.0))
+    with pytest.raises(ValueError, match="finite"):
+        LoadProfile(times=good.times, durations_s=good.durations_s, demand_kw=(1.0, math.nan, 1.0))
+    with pytest.raises(ValueError, match="finite"):
+        LoadProfile(times=good.times, durations_s=(1.0, math.inf, 1.0), demand_kw=good.demand_kw)

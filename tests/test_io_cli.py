@@ -59,6 +59,13 @@ def test_parse_rejects_negative_load():
         parse_load_profile(text)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e400"])
+def test_parse_rejects_non_finite_load(bad):
+    text = make_load_csv(["2024-01-01T00:00:00,10", f"2024-01-01T01:00:00,{bad}"])
+    with pytest.raises(ParseError, match="line 3: load must be finite"):
+        parse_load_profile(text)
+
+
 def test_parse_rejects_bad_header():
     text = "time,kw\n2024-01-01T00:00:00,10\n"
     with pytest.raises(ParseError, match="header"):
@@ -214,6 +221,22 @@ def test_config_requires_load_path():
         parse_config(json.dumps(doc))
 
 
+def test_config_rejects_non_finite_numbers():
+    doc = base_config_dict()
+    doc["ders"][1]["peak_multiplier"] = float("inf")
+    with pytest.raises(ValueError, match=r"ders\[1\] \(solar\): peak_multiplier must be finite"):
+        parse_config(json.dumps(doc))
+    doc = base_config_dict()
+    doc["capacity_precision"] = float("nan")
+    with pytest.raises(ValueError, match="capacity_precision must be finite"):
+        parse_config(json.dumps(doc))
+    doc = base_config_dict()
+    doc["ders"][0]["upper_bound"] = float("nan")
+    config = parse_config(json.dumps(doc))
+    with pytest.raises(ValueError, match="diesel: upper_bound must be finite"):
+        resolve_bounds(config, steady_load(120.0))
+
+
 def test_config_wind_series_wired_into_dispatch(tmp_path):
     doc = base_config_dict()
     doc["ders"].append({"name": "wind", "kind": "wind_turbine"})
@@ -261,6 +284,16 @@ def test_results_csv_round_trip_lossless():
     assert cols == cap_cols and ucols == unused_cols
     again = results_csv_text(cols, ucols, designs)
     assert again == text
+
+
+def test_read_results_rejects_non_finite_values():
+    text = (
+        "diesel_capacity_kw,sizing_grid_deficit_ratio,diesel_unused_ratio\n"
+        "60.0,0.0000,0.1000\n"
+        "80.0,nan,0.2000\n"
+    )
+    with pytest.raises(ParseError, match="line 3: non-finite value"):
+        read_results_csv(text)
 
 
 def test_read_results_rejects_foreign_header():
@@ -319,6 +352,14 @@ def test_cli_size_json_report(desk_cli_dir):
     assert payload["designs"]
     assert payload["seed"] == 42
     assert set(payload["per_stage_counts"]) == {"exhaustive", "binary_search", "local_search"}
+    # the 6-level coarse grid has 6**3 candidates; each is either simulated or pruned
+    coarse = payload["per_stage_counts"]["exhaustive"]
+    assert coarse["designs"] == coarse["simulations"]
+    assert coarse["pruned"] == 6**3 - coarse["designs"] > 0
+    oracle = desk_cli_dir / "oracle.json"
+    argv = ("exhaustive", "--config", config, "--levels", "6", "--format", "json")
+    assert run_cli(*argv, "--out", str(oracle)) == 0
+    assert json.loads(oracle.read_text())["per_stage_counts"] == {"exhaustive": coarse}
     # JSON rows reconstruct exactly
     for row in payload["designs"]:
         assert len(row["capacities"]) == 3
@@ -381,6 +422,26 @@ def test_cli_bad_config_exits_2(tmp_path):
     assert run_cli("size", "--config", str(bad), "--out", str(tmp_path / "x.csv")) == 2
     missing = tmp_path / "nope.json"
     assert run_cli("size", "--config", str(missing), "--out", str(tmp_path / "x.csv")) == 2
+
+
+def test_cli_non_finite_inputs_exit_2(desk_cli_dir, capsys):
+    config = str(desk_cli_dir / "config.json")
+    load_csv = desk_cli_dir / "load.csv"
+    rows = load_csv.read_text().splitlines()
+    for bad in ("nan", "inf"):
+        broken = rows[:5] + [rows[5].split(",")[0] + "," + bad] + rows[6:]
+        load_csv.write_text("\n".join(broken) + "\n", encoding="utf-8")
+        assert run_cli("simulate", "--config", config, "--capacities", "5,0,0") == 2
+        assert "line 6: load must be finite" in capsys.readouterr().err
+        assert run_cli("size", "--config", config, "--out", str(desk_cli_dir / "x.csv")) == 2
+        assert "line 6: load must be finite" in capsys.readouterr().err
+    load_csv.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    doc = json.loads((desk_cli_dir / "config.json").read_text())
+    doc["ders"][2]["upper_bound"] = float("nan")
+    nan_config = desk_cli_dir / "nan.json"
+    nan_config.write_text(json.dumps(doc), encoding="utf-8")
+    assert run_cli("size", "--config", str(nan_config), "--out", str(desk_cli_dir / "x.csv")) == 2
+    assert "battery: upper_bound must be finite" in capsys.readouterr().err
 
 
 def test_cli_safety_cap_exits_3(desk_cli_dir):

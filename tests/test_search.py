@@ -304,6 +304,8 @@ def test_search_config_validation():
         SearchConfig(outer_passes=0)
     with pytest.raises(ValueError):
         SearchConfig(deficit_display_threshold=-0.1)
+    with pytest.raises(ValueError):
+        SearchConfig(deficit_display_threshold=float("nan"))
 
 
 def test_worker_count_env(monkeypatch):

@@ -4,12 +4,22 @@ monotonicity property the pruning stage depends on."""
 import math
 import random
 from concurrent.futures import ThreadPoolExecutor
-from datetime import datetime
+from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
 
-from dersizer.core import EPS_POWER, DerKind, DerSpec, DesignSpace, MicrogridDesign
+from dersizer.core import (
+    EPS_POWER,
+    DerKind,
+    DerSpec,
+    DesignSpace,
+    LoadProfile,
+    MicrogridDesign,
+    SimulationOutcome,
+    deficit_ratio,
+    unused_ratio,
+)
 from dersizer.simulator import (
     DispatchConfig,
     ReferenceSimulator,
@@ -87,6 +97,8 @@ def test_dispatch_config_validation():
         DispatchConfig(bess_charge_efficiency=0.0)
     with pytest.raises(ValueError):
         DispatchConfig(wind_capacity_factor=1.5)
+    with pytest.raises(ValueError, match="pv_daylight_end must be finite"):
+        DispatchConfig(pv_daylight_end=math.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -303,8 +315,6 @@ def test_memoized_metrics_match_direct_computation(desk_load, desk_space, desk_d
     design = MicrogridDesign((45.0, 106.0, 176.0))
     evaluated = memoized_operate(cache, desk_space, design, desk_load, desk_dispatch)
     outcome = operate(desk_space, design, desk_load, desk_dispatch)
-    from dersizer.core import deficit_ratio, unused_ratio
-
     assert evaluated.deficit_ratio == deficit_ratio(outcome, desk_load)
     for i in range(len(desk_space.ders)):
         assert evaluated.unused_ratios[i] == unused_ratio(outcome, i, design.capacities[i])
@@ -314,3 +324,112 @@ def test_discharge_capability_zero_capacity():
     spec = DerSpec(name="b", kind=DerKind.BATTERY_STORAGE, upper_bound=10.0, charge_ratio=2.0, discharge_ratio=2.0)
     state = initial_bess_state(spec, 0.0, DispatchConfig())
     assert discharge_capability_kw(state, DispatchConfig(), 1800.0) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# operate against its specification: dispatch_step folded over time
+
+def fold_dispatch_step(space, design, load, config):
+    """The SimulationOutcome defined by stepping dispatch_step through the horizon."""
+    caps = design.capacities
+    kinds = [d.kind for d in space.ders]
+    bess_idx = [i for i, k in enumerate(kinds) if k is DerKind.BATTERY_STORAGE]
+    pv_factors = pv_availability(load.times, config)
+    wind_factors = wind_availability(len(load), config)
+    available = np.zeros((len(space.ders), len(load)))
+    for i, kind in enumerate(kinds):
+        if kind is DerKind.PHOTOVOLTAIC:
+            available[i] = caps[i] * pv_factors
+        elif kind is DerKind.WIND_TURBINE:
+            available[i] = caps[i] * wind_factors
+        elif kind is DerKind.DIESEL_GENERATOR:
+            available[i] = caps[i]
+    states = tuple(initial_bess_state(space.ders[i], caps[i], config) for i in bess_idx)
+    used_rows, flags = [], []
+    for t in range(len(load)):
+        duration = load.durations_s[t]
+        for b, i in enumerate(bess_idx):
+            available[i, t] = discharge_capability_kw(states[b], config, duration)
+        used_t, states, flag = dispatch_step(
+            space, load.demand_kw[t], available[:, t].tolist(), states, config, duration
+        )
+        used_rows.append(used_t)
+        flags.append(flag)
+    return SimulationOutcome(
+        deficit_flags=np.array(flags, dtype=np.int8),
+        per_der_available=available,
+        per_der_used=np.array(used_rows).T.copy(),
+    )
+
+
+def random_space(rng):
+    ders = [
+        DerSpec(name="pv_a", kind=DerKind.PHOTOVOLTAIC, upper_bound=rng.uniform(50, 400)),
+        DerSpec(name="pv_b", kind=DerKind.PHOTOVOLTAIC, lower_bound=10.0, upper_bound=rng.uniform(50, 400)),
+        DerSpec(name="wind", kind=DerKind.WIND_TURBINE, upper_bound=rng.uniform(50, 300)),
+        DerSpec(
+            name="bess_a", kind=DerKind.BATTERY_STORAGE, upper_bound=rng.uniform(100, 800),
+            charge_ratio=0.5, discharge_ratio=4.0,
+        ),
+        DerSpec(
+            name="bess_b", kind=DerKind.BATTERY_STORAGE, upper_bound=rng.uniform(100, 800),
+            charge_ratio=3.0, discharge_ratio=1.5,
+        ),
+        DerSpec(name="diesel_a", kind=DerKind.DIESEL_GENERATOR, upper_bound=rng.uniform(20, 120)),
+        DerSpec(name="diesel_b", kind=DerKind.DIESEL_GENERATOR, upper_bound=rng.uniform(20, 120)),
+    ]
+    rng.shuffle(ders)
+    return DesignSpace(ders=tuple(ders))
+
+
+def random_capacity(rng, spec):
+    pick = rng.random()
+    if pick < 0.15:
+        return spec.lower_bound  # 0.0 for every DER but pv_b
+    if pick < 0.3:
+        return spec.upper_bound
+    return rng.uniform(spec.lower_bound, spec.upper_bound)
+
+
+def uneven_load(rng, n_steps=60):
+    start = datetime(2024, 6, 1, 3, 0)
+    times, durations, demand = [], [], []
+    offset = 0.0
+    for _ in range(n_steps):
+        step = rng.choice((600.0, 900.0, 1800.0, 3600.0, 5400.0))
+        times.append(start + timedelta(seconds=offset))
+        durations.append(step)
+        demand.append(0.0 if rng.random() < 0.1 else rng.uniform(0.0, 180.0))
+        offset += step
+    return LoadProfile(times=tuple(times), durations_s=tuple(durations), demand_kw=tuple(demand))
+
+
+def test_operate_bitwise_equals_folded_dispatch_step():
+    rng = random.Random(2406)
+    for case in range(8):
+        load = uneven_load(rng)
+        space = random_space(rng)
+        wind = (
+            tuple(rng.random() for _ in range(len(load))) if case % 2 else rng.uniform(0.1, 0.6)
+        )
+        config = DispatchConfig(
+            wind_capacity_factor=wind,
+            bess_min_soc=0.0 if case % 3 == 0 else 0.2,
+            bess_initial_soc=0.6 if case % 2 else 1.0,
+            bess_charge_efficiency=0.9,
+            bess_discharge_efficiency=0.93,
+        )
+        for _ in range(25):
+            design = MicrogridDesign(tuple(random_capacity(rng, spec) for spec in space.ders))
+            got = operate(space, design, load, config)
+            want = fold_dispatch_step(space, design, load, config)
+            for field in ("deficit_flags", "per_der_available", "per_der_used"):
+                a, b = getattr(got, field), getattr(want, field)
+                assert (a.dtype, a.shape) == (b.dtype, b.shape), field
+                assert a.tobytes() == b.tobytes(), (field, design)
+
+            evaluated = memoized_operate(SimulationCache(), space, design, load, config)
+            assert evaluated.deficit_ratio == deficit_ratio(want, load)
+            assert evaluated.unused_ratios == tuple(
+                unused_ratio(want, i, c) for i, c in enumerate(design.capacities)
+            )
