@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import bisect
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 from datetime import datetime
@@ -148,6 +149,27 @@ class LoadProfile:
     def __len__(self) -> int:
         return len(self.times)
 
+    def __hash__(self) -> int:
+        # the dataclass hash, computed once: every simulation looks the load up
+        return self._hash
+
+    def __getstate__(self) -> dict:
+        # datetime hashes differ between processes, so a copy recomputes its own
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        return hash((self.times, self.durations_s, self.demand_kw))
+
+    @functools.cached_property
+    def durations_array(self) -> np.ndarray:
+        """`durations_s` as a read-only float array."""
+        durations = np.asarray(self.durations_s, dtype=float)
+        durations.flags.writeable = False
+        return durations
+
     @property
     def peak_kw(self) -> float:
         return max(self.demand_kw)
@@ -268,7 +290,7 @@ def deficit_ratio(outcome: SimulationOutcome, load: LoadProfile) -> float:
     flags = outcome.deficit_flags
     if len(flags) != len(load):
         raise ValueError(f"outcome has {len(flags)} steps, load has {len(load)}")
-    durations = np.asarray(load.durations_s)
+    durations = load.durations_array
     return float(np.dot(flags, durations) / durations.sum())
 
 
@@ -320,15 +342,22 @@ def non_dominated(designs: list[EvaluatedDesign]) -> list[EvaluatedDesign]:
     Deficit ratios and capacities must not be NaN. Sorted by (deficit ratio,
     capacities), a dominator comes strictly before whatever it dominates,
     and dominance is transitive, so each entry only needs checking against
-    the entries already kept.
+    the entries already kept. Capacity vectors are distinct after the
+    dedup, so a kept entry dominates a later one exactly when its
+    capacities are componentwise no larger: each kept entry eliminates
+    those in one array operation.
     """
     seen: dict[tuple[float, ...], EvaluatedDesign] = {}
     for d in designs:
         seen.setdefault(d.capacities, d)
+    ordered = sorted(seen.values(), key=lambda d: (d.deficit_ratio, d.capacities))
+    caps = np.array([d.capacities for d in ordered], dtype=float)
+    alive = np.ones(len(ordered), dtype=bool)
     kept: list[EvaluatedDesign] = []
-    for d in sorted(seen.values(), key=lambda d: (d.deficit_ratio, d.capacities)):
-        if not any(dominates(k, d) for k in kept):
+    for i, d in enumerate(ordered):
+        if alive[i]:
             kept.append(d)
+            alive[i + 1 :] &= ~(caps[i + 1 :] >= caps[i]).all(axis=1)
     kept.sort(key=lambda d: d.capacities)
     return kept
 

@@ -598,17 +598,19 @@ def _cmd_exhaustive(args: argparse.Namespace) -> int:
                 "simulations": cache.unique_simulations,
                 "designs": len(simulated),
                 "pruned": pruned,
+                "dispatch_runs": cache.dispatch_runs,
             }
         },
         elapsed_seconds=time.perf_counter() - started,
         seed=config.search.rng_seed,
     )
     log.info(
-        "exhaustive enumeration at %d levels: %d simulations, %d designs kept, %d pruned",
+        "exhaustive enumeration at %d levels: %d simulations, %d designs kept, %d pruned, %d dispatch runs",
         levels,
         report.all_simulated,
         len(final),
         pruned,
+        cache.dispatch_runs,
     )
     write_report(report, out_path, args.format, space)
     return 0

@@ -2,8 +2,10 @@
 and local descent, chained into the full sizing pipeline.
 
 All stages share one SimulationCache, so reported simulation counts are
-unique designs actually dispatched. Results are deterministic for a fixed
-(inputs, rng_seed) regardless of worker count.
+unique designs evaluated, and its pre-diesel memo, so a design that differs
+from an earlier one only in diesel capacity skips the rest of the dispatch.
+The stages run on one thread, seed by seed; results are deterministic for a
+fixed (inputs, rng_seed).
 """
 
 from __future__ import annotations
@@ -11,10 +13,8 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-import os
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .core import (
@@ -34,8 +34,6 @@ log = logging.getLogger(__name__)
 
 # Refuse exhaustive enumerations larger than this many candidates.
 PRODUCT_SAFETY_CAP = 10**8
-
-THREADS_ENV_VAR = "DER_SIZER_THREADS"
 
 
 class SearchSpaceTooLarge(RuntimeError):
@@ -72,20 +70,6 @@ class SearchReport:
     per_stage_counts: dict[str, dict[str, int]]
     elapsed_seconds: float
     seed: int
-
-
-def worker_count() -> int:
-    """Worker cap for seed-parallel stages, from DER_SIZER_THREADS."""
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise ValueError(f"{THREADS_ENV_VAR} must be >= 1, got {value}")
-    return value
 
 
 def initial_step_size(n_intervals: int) -> int:
@@ -220,7 +204,6 @@ def binary_search_refine(
     rng: random.Random,
     outer_passes: int | None = None,
     precision: float = DEFAULT_CAPACITY_PRECISION,
-    workers: int | None = None,
 ) -> list[EvaluatedDesign]:
     """Diversify a seed set by per-DER halving searches on the fine grid.
 
@@ -235,22 +218,20 @@ def binary_search_refine(
     grids = build_grids(space, level_points, precision)
     passes = outer_passes if outer_passes is not None else len(space.ders)
     child_seeds = [rng.getrandbits(64) for _ in seeds]
+    trajectories = [
+        _binary_search_one_seed(cache, space, load, dispatch_config, grids, seed_design, child, passes)
+        for seed_design, child in zip(seeds, child_seeds)
+    ]
+    return _first_occurrences(seeds, trajectories)
 
-    def run(job: tuple[EvaluatedDesign, int]) -> list[EvaluatedDesign]:
-        seed_design, child = job
-        return _binary_search_one_seed(
-            cache, space, load, dispatch_config, grids, seed_design, child, passes
-        )
 
-    jobs = list(zip(seeds, child_seeds))
-    trajectories = _map_ordered(run, jobs, workers)
-
+def _first_occurrences(
+    seeds: list[EvaluatedDesign], trajectories: list[list[EvaluatedDesign]]
+) -> list[EvaluatedDesign]:
+    """The seeds, then each seed's trajectory in seed order, first occurrence kept."""
     merged: dict[tuple[float, ...], EvaluatedDesign] = {}
-    for evaluated in seeds:
-        merged.setdefault(cache.key_for(evaluated.design), evaluated)
-    for trajectory in trajectories:
-        for evaluated in trajectory:
-            merged.setdefault(cache.key_for(evaluated.design), evaluated)
+    for evaluated in itertools.chain(seeds, *trajectories):
+        merged.setdefault(SimulationCache.key_for(evaluated.design), evaluated)
     return list(merged.values())
 
 
@@ -298,7 +279,6 @@ def local_search(
     seeds: list[EvaluatedDesign],
     outer_passes: int | None = None,
     precision: float = DEFAULT_CAPACITY_PRECISION,
-    workers: int | None = None,
 ) -> list[EvaluatedDesign]:
     """Walk each zero-deficit seed downward one grid level at a time.
 
@@ -308,31 +288,11 @@ def local_search(
     """
     grids = build_grids(space, level_points, precision)
     passes = outer_passes if outer_passes is not None else len(space.ders)
-
-    def run(seed_design: EvaluatedDesign) -> list[EvaluatedDesign]:
-        return _local_search_one_seed(
-            cache, space, load, dispatch_config, grids, seed_design, passes
-        )
-
-    trajectories = _map_ordered(run, seeds, workers)
-
-    merged: dict[tuple[float, ...], EvaluatedDesign] = {}
-    for evaluated in seeds:
-        merged.setdefault(cache.key_for(evaluated.design), evaluated)
-    for trajectory in trajectories:
-        for evaluated in trajectory:
-            merged.setdefault(cache.key_for(evaluated.design), evaluated)
-    return list(merged.values())
-
-
-def _map_ordered(fn, items, workers: int | None):
-    """Map preserving order; uses a thread pool when more than one worker."""
-    if workers is None:
-        workers = worker_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
-        return list(pool.map(fn, items))
+    trajectories = [
+        _local_search_one_seed(cache, space, load, dispatch_config, grids, seed_design, passes)
+        for seed_design in seeds
+    ]
+    return _first_occurrences(seeds, trajectories)
 
 
 def run_pipeline(
@@ -341,7 +301,6 @@ def run_pipeline(
     dispatch_config: DispatchConfig,
     search_config: SearchConfig,
     precision: float = DEFAULT_CAPACITY_PRECISION,
-    workers: int | None = None,
 ) -> SearchReport:
     """Run the three sizing stages and assemble the final non-dominated set."""
     started = time.perf_counter()
@@ -351,12 +310,14 @@ def run_pipeline(
         cache, space, load, dispatch_config, search_config.coarse_level_points, precision
     )
     sims_stage1 = cache.unique_simulations
+    runs_stage1 = cache.dispatch_runs
     pruned = grid_size(space, search_config.coarse_level_points, precision) - len(coarse)
     log.info(
-        "exhaustive stage: %d designs simulated (%d grid points per DER), %d pruned",
+        "exhaustive stage: %d designs simulated (%d grid points per DER), %d pruned, %d dispatch runs",
         sims_stage1,
         search_config.coarse_level_points,
         pruned,
+        runs_stage1,
     )
 
     rng = random.Random(search_config.rng_seed)
@@ -370,13 +331,14 @@ def run_pipeline(
         rng,
         search_config.outer_passes,
         precision,
-        workers,
     )
     sims_stage2 = cache.unique_simulations
+    runs_stage2 = cache.dispatch_runs
     log.info(
-        "binary search stage: %d new simulations, %d designs held",
+        "binary search stage: %d new simulations, %d designs held, %d dispatch runs",
         sims_stage2 - sims_stage1,
         len(refined),
+        runs_stage2 - runs_stage1,
     )
 
     local_seeds = non_dominated(refined)
@@ -389,13 +351,14 @@ def run_pipeline(
         local_seeds,
         search_config.outer_passes,
         precision,
-        workers,
     )
     sims_stage3 = cache.unique_simulations
+    runs_stage3 = cache.dispatch_runs
     log.info(
-        "local search stage: %d new simulations over %d seeds",
+        "local search stage: %d new simulations over %d seeds, %d dispatch runs",
         sims_stage3 - sims_stage2,
         len(local_seeds),
+        runs_stage3 - runs_stage2,
     )
 
     final = [
@@ -415,9 +378,22 @@ def run_pipeline(
         final_designs=tuple(final),
         all_simulated=sims_stage3,
         per_stage_counts={
-            "exhaustive": {"simulations": sims_stage1, "designs": len(coarse), "pruned": pruned},
-            "binary_search": {"simulations": sims_stage2 - sims_stage1, "designs": len(refined)},
-            "local_search": {"simulations": sims_stage3 - sims_stage2, "designs": len(polished)},
+            "exhaustive": {
+                "simulations": sims_stage1,
+                "designs": len(coarse),
+                "pruned": pruned,
+                "dispatch_runs": runs_stage1,
+            },
+            "binary_search": {
+                "simulations": sims_stage2 - sims_stage1,
+                "designs": len(refined),
+                "dispatch_runs": runs_stage2 - runs_stage1,
+            },
+            "local_search": {
+                "simulations": sims_stage3 - sims_stage2,
+                "designs": len(polished),
+                "dispatch_runs": runs_stage3 - runs_stage2,
+            },
         },
         elapsed_seconds=elapsed,
         seed=search_config.rng_seed,

@@ -1,9 +1,10 @@
 """Reference microgrid operation simulator.
 
 Implements a deterministic dispatch policy (renewables, then battery, then
-diesel) behind a small simulator interface, plus a thread-safe memoizing
-cache that counts unique simulations. Power in kW, energy in kWh, durations
-in seconds.
+diesel) behind a small simulator interface, plus a single-threaded memoizing
+cache that counts unique simulations and keeps the pre-diesel dispatch of
+recent non-diesel capacity vectors. Power in kW, energy in kWh, durations in
+seconds.
 """
 
 from __future__ import annotations
@@ -11,7 +12,8 @@ from __future__ import annotations
 import abc
 import functools
 import math
-import threading
+import struct
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from datetime import datetime
 from typing import NamedTuple, Sequence
@@ -326,11 +328,83 @@ def _step_batteries(
     return np.array(rest)
 
 
+# Float budget of one search's pre-diesel memo (1 MiB of float64): about 48
+# entries at 672 steps with one PV array and one battery, and all 196 of a
+# 14-level oracle on a 48-step day. Doubling it saved 12% of the dispatch runs
+# of a 672-step two-week search but raised its peak memory by about 3%.
+PRE_DIESEL_MEMO_FLOATS = 2**17
+
+
+class _PreDiesel(NamedTuple):
+    """What the dispatch before diesel leaves for one non-diesel capacity vector."""
+
+    used: np.ndarray  # renewable rows (charging included), then charged-battery rows
+    bess_available: np.ndarray
+    residual: np.ndarray  # the load left for diesel
+
+
+class PreDieselMemo:
+    """Recently used pre-diesel dispatch results of one search, bounded in size.
+
+    Keyed on the bit-exact non-diesel capacities of one (space, load,
+    config); the least recently used entries go once the stored arrays
+    exceed PRE_DIESEL_MEMO_FLOATS floats. `runs` counts the pre-diesel
+    dispatches actually run. Not safe for concurrent use.
+    """
+
+    def __init__(self) -> None:
+        self._entries: OrderedDict[bytes, _PreDiesel] = OrderedDict()
+        self._floats = 0
+        self.runs = 0
+
+    def get(self, key: bytes) -> _PreDiesel | None:
+        entry = self._entries.get(key)
+        if entry is not None:
+            self._entries.move_to_end(key)
+        return entry
+
+    def put(self, key: bytes, entry: _PreDiesel) -> None:
+        for arr in entry:
+            arr.flags.writeable = False  # handed to every later hit
+        self._entries[key] = entry
+        self._floats += sum(arr.size for arr in entry)
+        while self._floats > PRE_DIESEL_MEMO_FLOATS:
+            _, old = self._entries.popitem(last=False)
+            self._floats -= sum(arr.size for arr in old)
+
+
+def _dispatch_before_diesel(
+    space: DesignSpace,
+    caps: tuple[float, ...],
+    bess: list[int],
+    inv: _LoadInvariants,
+    config: DispatchConfig,
+    available: np.ndarray,
+    used: np.ndarray,
+) -> np.ndarray:
+    """Renewables serve load in merit order, then the batteries step through time.
+
+    Needs the renewable rows of `available` filled; fills the renewable and
+    battery rows of `used` and the battery rows of `available`, and returns
+    the load left for diesel.
+    """
+    renewables = inv.pv_idx + inv.wind_idx
+    remaining = inv.demand
+    for i in renewables:
+        remaining = _serve(available[i], used[i], remaining)
+    if bess:
+        remaining = _step_batteries(
+            space, caps, bess, renewables, available, used, remaining, inv.hours, config
+        )
+    return remaining
+
+
 def operate(
     space: DesignSpace,
     design: MicrogridDesign,
     load: LoadProfile,
     config: DispatchConfig,
+    memo: PreDieselMemo | None = None,
 ) -> SimulationOutcome:
     """Fold the dispatch policy over the whole load horizon.
 
@@ -338,28 +412,42 @@ def operate(
     The stateless stages (renewables, then diesel, each serving load in
     merit order) run elementwise over all steps at once; only the battery
     state is stepped in time.
+
+    Diesel is served last and holds no state, and the batteries charge only
+    from renewable surplus, so the dispatch before diesel depends on the
+    non-diesel capacities alone. With a `memo` it runs only for non-diesel
+    capacities the memo does not hold, and a design that differs from an
+    earlier one only in diesel capacity costs just the diesel stage. The
+    outcome is the same with or without the memo.
     """
     space.validate_design(design)
     inv = _load_invariants(space, load, config)
     caps = design.capacities
     available = np.zeros((len(space.ders), len(load)))
     used = np.zeros_like(available)
-
-    remaining = inv.demand
     for i in inv.pv_idx:
         available[i] = caps[i] * inv.pv_factors
-        remaining = _serve(available[i], used[i], remaining)
     for i in inv.wind_idx:
         available[i] = caps[i] * inv.wind_factors
-        remaining = _serve(available[i], used[i], remaining)
-
     # a zero-capacity battery neither charges nor discharges: its rows stay 0
     bess = [i for i in inv.bess_idx if caps[i] != 0.0]
-    if bess:
-        remaining = _step_batteries(
-            space, caps, bess, inv.pv_idx + inv.wind_idx,
-            available, used, remaining, inv.hours, config,
-        )
+    rows = [*inv.pv_idx, *inv.wind_idx, *bess]
+
+    key = hit = None
+    if memo is not None and bess:  # without a battery there is no recurrence to save
+        non_diesel = inv.pv_idx + inv.wind_idx + inv.bess_idx
+        key = struct.pack(f"{len(non_diesel)}d", *[caps[i] for i in non_diesel])  # keeps -0.0
+        hit = memo.get(key)
+    if hit is not None:
+        used[rows] = hit.used
+        available[bess] = hit.bess_available
+        remaining = hit.residual
+    else:
+        remaining = _dispatch_before_diesel(space, caps, bess, inv, config, available, used)
+        if memo is not None:
+            memo.runs += 1
+            if key is not None:
+                memo.put(key, _PreDiesel(used[rows], available[bess], remaining))
 
     for i in inv.diesel_idx:
         available[i] = caps[i]
@@ -386,14 +474,13 @@ class ReferenceSimulator(SimulatorInterface):
 class SimulationCache:
     """Memoizes evaluated designs by capacity vector; counts unique simulations.
 
-    Safe for concurrent use: the counter only moves when a new key is
-    inserted, so two workers racing on the same design count it once.
+    One cache serves one search, that is one (space, load, config), from a
+    single thread. It owns that search's pre-diesel memo.
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._entries: dict[tuple[float, ...], EvaluatedDesign] = {}
-        self._count = 0
+        self.pre_diesel = PreDieselMemo()
 
     @staticmethod
     def key_for(design: MicrogridDesign) -> tuple[float, ...]:
@@ -402,26 +489,21 @@ class SimulationCache:
 
     @property
     def unique_simulations(self) -> int:
-        with self._lock:
-            return self._count
+        return len(self._entries)
+
+    @property
+    def dispatch_runs(self) -> int:
+        """Pre-diesel dispatches run; at most `unique_simulations`."""
+        return self.pre_diesel.runs
 
     def get(self, design: MicrogridDesign) -> EvaluatedDesign | None:
-        with self._lock:
-            return self._entries.get(self.key_for(design))
+        return self._entries.get(self.key_for(design))
 
-    def put_if_absent(self, design: MicrogridDesign, evaluated: EvaluatedDesign) -> EvaluatedDesign:
-        key = self.key_for(design)
-        with self._lock:
-            existing = self._entries.get(key)
-            if existing is not None:
-                return existing
-            self._entries[key] = evaluated
-            self._count += 1
-            return evaluated
+    def put(self, design: MicrogridDesign, evaluated: EvaluatedDesign) -> None:
+        self._entries[self.key_for(design)] = evaluated
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._entries)
 
 
 def memoized_operate(
@@ -435,7 +517,7 @@ def memoized_operate(
     hit = cache.get(design)
     if hit is not None:
         return hit
-    outcome = operate(space, design, load, config)
+    outcome = operate(space, design, load, config, cache.pre_diesel)
     evaluated = EvaluatedDesign(
         design=design,
         deficit_ratio=deficit_ratio(outcome, load),
@@ -443,4 +525,5 @@ def memoized_operate(
             unused_ratio(outcome, i, design.capacities[i]) for i in range(len(space.ders))
         ),
     )
-    return cache.put_if_absent(design, evaluated)
+    cache.put(design, evaluated)
+    return evaluated

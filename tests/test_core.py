@@ -1,6 +1,7 @@
 """Metric, grid and dominance unit tests, including brute-force cross-checks."""
 
 import math
+import pickle
 import random
 
 import numpy as np
@@ -354,3 +355,19 @@ def test_load_profile_validation():
         LoadProfile(times=good.times, durations_s=good.durations_s, demand_kw=(1.0, math.nan, 1.0))
     with pytest.raises(ValueError, match="finite"):
         LoadProfile(times=good.times, durations_s=(1.0, math.inf, 1.0), demand_kw=good.demand_kw)
+
+
+def test_load_profile_hash_and_durations_cached_consistently():
+    load = constant_load(10.0, n_steps=3)
+    twin = constant_load(10.0, n_steps=3)
+    other = constant_load(11.0, n_steps=3)
+    assert load == twin and hash(load) == hash(twin)
+    assert hash(load) == hash((load.times, load.durations_s, load.demand_kw))
+    assert load != other
+    copy = pickle.loads(pickle.dumps(load))
+    assert copy == load and hash(copy) == hash(load)
+    assert "_hash" not in vars(pickle.loads(pickle.dumps(copy)))
+    durations = load.durations_array
+    assert durations is load.durations_array
+    assert not durations.flags.writeable
+    assert durations.tolist() == list(load.durations_s)

@@ -344,6 +344,24 @@ def test_cli_size_runs_are_byte_identical(desk_cli_dir):
     assert header.split(",")[3] == "sizing_grid_deficit_ratio"
 
 
+def test_cli_size_in_process_runs_share_no_memo_state(desk_cli_dir):
+    # a search in between, on another seed, leaves nothing the next one can see
+    config = str(desk_cli_dir / "config.json")
+    outs = [desk_cli_dir / f"run_{k}.json" for k in range(3)]
+    for out, seed in zip(outs, ("42", "43", "42")):
+        argv = ("size", "--config", config, "--seed", seed, "--format", "json", "--out", str(out))
+        assert run_cli(*argv) == 0
+    first, _, again = (json.loads(out.read_text()) for out in outs)
+    for payload in (first, again):
+        del payload["elapsed_seconds"]
+    assert first == again
+    csv_a, csv_b = desk_cli_dir / "a.csv", desk_cli_dir / "b.csv"
+    assert run_cli("size", "--config", config, "--out", str(csv_a)) == 0
+    assert run_cli("size", "--config", config, "--seed", "43", "--out", str(csv_b)) == 0
+    assert run_cli("size", "--config", config, "--out", str(csv_b)) == 0
+    assert csv_a.read_bytes() == csv_b.read_bytes()
+
+
 def test_cli_size_json_report(desk_cli_dir):
     config = str(desk_cli_dir / "config.json")
     out = desk_cli_dir / "report.json"
@@ -356,6 +374,9 @@ def test_cli_size_json_report(desk_cli_dir):
     coarse = payload["per_stage_counts"]["exhaustive"]
     assert coarse["designs"] == coarse["simulations"]
     assert coarse["pruned"] == 6**3 - coarse["designs"] > 0
+    for counts in payload["per_stage_counts"].values():
+        assert counts["dispatch_runs"] <= counts["simulations"]
+    assert 0 < coarse["dispatch_runs"] < coarse["simulations"]
     oracle = desk_cli_dir / "oracle.json"
     argv = ("exhaustive", "--config", config, "--levels", "6", "--format", "json")
     assert run_cli(*argv, "--out", str(oracle)) == 0
@@ -372,6 +393,12 @@ def test_cli_simulate_prints_metrics(desk_cli_dir, capsys):
     out = capsys.readouterr().out
     assert "sizing_grid_deficit_ratio 1.0000" in out
     assert "solar_unused_ratio -1.0000" in out
+    # nothing installed: every step of the positive load is short
+    assert run_cli("simulate", "--config", config, "--capacities", "0,0,0") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "sizing_grid_deficit_ratio 1.0000" in lines
+    for name in ("diesel", "solar", "battery"):
+        assert f"{name}_unused_ratio -1.0000" in lines
 
 
 def test_cli_simulate_rejects_wrong_arity(desk_cli_dir):
@@ -442,6 +469,20 @@ def test_cli_non_finite_inputs_exit_2(desk_cli_dir, capsys):
     nan_config.write_text(json.dumps(doc), encoding="utf-8")
     assert run_cli("size", "--config", str(nan_config), "--out", str(desk_cli_dir / "x.csv")) == 2
     assert "battery: upper_bound must be finite" in capsys.readouterr().err
+
+
+def test_cli_zero_load_exits_2(desk_cli_dir, capsys):
+    # a zero peak gives every peak-multiplier bound the range [0, 0]
+    config = str(desk_cli_dir / "config.json")
+    load_csv = desk_cli_dir / "load.csv"
+    rows = load_csv.read_text().splitlines()
+    zeroed = rows[:1] + [row.split(",")[0] + ",0.0" for row in rows[1:]]
+    load_csv.write_text("\n".join(zeroed) + "\n", encoding="utf-8")
+    out = str(desk_cli_dir / "x.csv")
+    for command in ("size", "exhaustive"):
+        assert run_cli(command, "--config", config, "--levels", "6", "--out", out) == 2
+        assert "diesel: degenerate capacity range [0.0, 0.0]" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_cli_safety_cap_exits_3(desk_cli_dir):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from dersizer import simulator
 from dersizer.core import DerKind, DerSpec, DesignSpace, MicrogridDesign, dominates
 from dersizer.search import (
     SearchConfig,
@@ -14,7 +15,6 @@ from dersizer.search import (
     initial_step_size,
     local_search,
     run_pipeline,
-    worker_count,
 )
 from dersizer.simulator import DispatchConfig, SimulationCache, memoized_operate
 from tests.conftest import constant_load
@@ -279,11 +279,28 @@ def test_pipeline_seeded_determinism(desk_load, desk_space, desk_dispatch):
     assert report_fingerprint(a) == report_fingerprint(b)
 
 
-def test_pipeline_parallel_workers_match_sequential(desk_load, desk_space, desk_dispatch):
+def without_dispatch_runs(fingerprint):
+    finals, simulated, per_stage, seed = fingerprint
+    counts = {
+        stage: {k: v for k, v in c.items() if k != "dispatch_runs"} for stage, c in per_stage.items()
+    }
+    return finals, simulated, counts, seed
+
+
+def test_pipeline_fingerprint_independent_of_memo_budget(
+    desk_load, desk_space, desk_dispatch, monkeypatch
+):
     config = SearchConfig(rng_seed=11)
-    seq = run_pipeline(desk_space, desk_load, desk_dispatch, config, workers=1)
-    par = run_pipeline(desk_space, desk_load, desk_dispatch, config, workers=4)
-    assert report_fingerprint(seq) == report_fingerprint(par)
+    memoized = run_pipeline(desk_space, desk_load, desk_dispatch, config)
+    monkeypatch.setattr(simulator, "PRE_DIESEL_MEMO_FLOATS", 0)
+    unmemoized = run_pipeline(desk_space, desk_load, desk_dispatch, config)
+    assert without_dispatch_runs(report_fingerprint(memoized)) == without_dispatch_runs(
+        report_fingerprint(unmemoized)
+    )
+    for stage, counts in unmemoized.per_stage_counts.items():
+        assert counts["dispatch_runs"] == counts["simulations"], stage
+    runs = sum(c["dispatch_runs"] for c in memoized.per_stage_counts.values())
+    assert runs < memoized.all_simulated
 
 
 def test_pipeline_degenerate_levels_stay_on_coarse_grid(desk_load, desk_space, desk_dispatch):
@@ -306,16 +323,3 @@ def test_search_config_validation():
         SearchConfig(deficit_display_threshold=-0.1)
     with pytest.raises(ValueError):
         SearchConfig(deficit_display_threshold=float("nan"))
-
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.setenv("DER_SIZER_THREADS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("DER_SIZER_THREADS", "zero")
-    with pytest.raises(ValueError):
-        worker_count()
-    monkeypatch.setenv("DER_SIZER_THREADS", "0")
-    with pytest.raises(ValueError):
-        worker_count()
-    monkeypatch.delenv("DER_SIZER_THREADS")
-    assert worker_count() >= 1

@@ -3,12 +3,12 @@ monotonicity property the pruning stage depends on."""
 
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
 
+from dersizer import simulator
 from dersizer.core import (
     EPS_POWER,
     DerKind,
@@ -22,6 +22,7 @@ from dersizer.core import (
 )
 from dersizer.simulator import (
     DispatchConfig,
+    PreDieselMemo,
     ReferenceSimulator,
     SimulationCache,
     discharge_capability_kw,
@@ -290,18 +291,18 @@ def test_cache_counts_unique_designs_once(desk_load, desk_space, desk_dispatch):
     assert cache.unique_simulations == 2
 
 
-def test_cache_concurrent_same_key_counted_once(desk_load, desk_space, desk_dispatch):
+def test_cache_repeated_lookups_counted_once(desk_load, desk_space, desk_dispatch):
     cache = SimulationCache()
     design = MicrogridDesign((90.0, 53.0, 88.0))
-
-    def work(_):
-        return memoized_operate(cache, desk_space, design, desk_load, desk_dispatch)
-
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        results = list(pool.map(work, range(16)))
-    assert cache.unique_simulations == 1
+    results = [
+        memoized_operate(cache, desk_space, design, desk_load, desk_dispatch) for _ in range(16)
+    ]
+    assert (cache.unique_simulations, cache.dispatch_runs) == (1, 1)
     assert all(r.capacities == design.capacities for r in results)
     assert len({id(r) for r in results}) == 1
+    # another diesel level is a new simulation but reuses the pre-diesel dispatch
+    memoized_operate(cache, desk_space, design.with_capacity(0, 45.0), desk_load, desk_dispatch)
+    assert (cache.unique_simulations, cache.dispatch_runs) == (2, 1)
 
 
 def test_cache_key_folds_negative_zero():
@@ -433,3 +434,62 @@ def test_operate_bitwise_equals_folded_dispatch_step():
             assert evaluated.unused_ratios == tuple(
                 unused_ratio(want, i, c) for i, c in enumerate(design.capacities)
             )
+
+
+def test_operate_with_memo_bitwise_equals_without(monkeypatch):
+    rng = random.Random(2407)
+    default_budget = simulator.PRE_DIESEL_MEMO_FLOATS
+    for case in range(6):
+        load = uneven_load(rng)
+        space = random_space(rng)
+        config = DispatchConfig(
+            wind_capacity_factor=rng.uniform(0.1, 0.6),
+            bess_min_soc=0.0 if case % 3 == 0 else 0.2,
+            bess_initial_soc=0.6 if case % 2 else 1.0,
+        )
+        # an odd case keeps about two entries, so revisits meet evicted vectors
+        small = case % 2 == 1
+        budget = 2 * 8 * len(load) if small else default_budget
+        monkeypatch.setattr(simulator, "PRE_DIESEL_MEMO_FLOATS", budget)
+        kinds = [spec.kind for spec in space.ders]
+        memo = PreDieselMemo()
+        seen, expected_runs, visited = set(), 0, []
+        for _ in range(40):
+            if visited and rng.random() < 0.6:  # same non-diesel vector, new diesel levels
+                caps = list(rng.choice(visited))
+                if rng.random() < 0.3:  # flip the sign of every zero: another memo key
+                    caps = [-c if c == 0.0 else c for c in caps]
+                for i, kind in enumerate(kinds):
+                    if kind is DerKind.DIESEL_GENERATOR:
+                        caps[i] = random_capacity(rng, space.ders[i])
+            else:
+                caps = [random_capacity(rng, spec) for spec in space.ders]
+                if rng.random() < 0.25:
+                    caps = [0.0 if k is DerKind.BATTERY_STORAGE else c for k, c in zip(kinds, caps)]
+                caps = [-0.0 if c == 0.0 and rng.random() < 0.5 else c for c in caps]
+                visited.append(tuple(caps))
+            design = MicrogridDesign(tuple(caps))
+
+            key = tuple(
+                (c, math.copysign(1.0, c))  # -0.0 is a vector of its own
+                for k, c in zip(kinds, caps)
+                if k is not DerKind.DIESEL_GENERATOR
+            )
+            if not any(c != 0.0 for k, c in zip(kinds, caps) if k is DerKind.BATTERY_STORAGE):
+                expected_runs += 1
+            elif key not in seen:
+                seen.add(key)
+                expected_runs += 1
+
+            got = operate(space, design, load, config, memo)
+            plain = operate(space, design, load, config)
+            want = fold_dispatch_step(space, design, load, config)
+            for field in ("deficit_flags", "per_der_available", "per_der_used"):
+                for other in (plain, want):
+                    a, b = getattr(got, field), getattr(other, field)
+                    assert (a.dtype, a.shape) == (b.dtype, b.shape), field
+                    assert a.tobytes() == b.tobytes(), (field, design)
+        if small:
+            assert memo.runs > expected_runs  # evicted vectors ran again
+        else:
+            assert memo.runs == expected_runs
