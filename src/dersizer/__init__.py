@@ -2,76 +2,28 @@
 
 from .core import (
     DEFAULT_CAPACITY_PRECISION,
-    EPS_POWER,
-    CapacityGrid,
     DerKind,
     DerSpec,
     DesignSpace,
-    EvaluatedDesign,
     LoadProfile,
     MicrogridDesign,
-    SimulationOutcome,
     capacity_grid,
     deficit_ratio,
-    dominates,
-    non_dominated,
-    snap_to_grid,
-    unused_ratio,
 )
-from .search import (
-    SearchConfig,
-    SearchReport,
-    SearchSpaceTooLarge,
-    binary_search_refine,
-    exhaustive_search,
-    initial_step_size,
-    local_search,
-    run_pipeline,
-)
-from .simulator import (
-    BessState,
-    DispatchConfig,
-    ReferenceSimulator,
-    SimulationCache,
-    SimulatorInterface,
-    dispatch_step,
-    memoized_operate,
-    operate,
-    pv_availability,
-)
+from .search import SearchConfig, run_pipeline
+from .simulator import DispatchConfig, operate
 
 __all__ = [
     "DEFAULT_CAPACITY_PRECISION",
-    "EPS_POWER",
-    "BessState",
-    "CapacityGrid",
     "DerKind",
     "DerSpec",
     "DesignSpace",
     "DispatchConfig",
-    "EvaluatedDesign",
     "LoadProfile",
     "MicrogridDesign",
-    "ReferenceSimulator",
     "SearchConfig",
-    "SearchReport",
-    "SearchSpaceTooLarge",
-    "SimulationCache",
-    "SimulationOutcome",
-    "SimulatorInterface",
-    "binary_search_refine",
     "capacity_grid",
     "deficit_ratio",
-    "dispatch_step",
-    "dominates",
-    "exhaustive_search",
-    "initial_step_size",
-    "local_search",
-    "memoized_operate",
-    "non_dominated",
     "operate",
-    "pv_availability",
     "run_pipeline",
-    "snap_to_grid",
-    "unused_ratio",
 ]

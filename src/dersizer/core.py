@@ -149,20 +149,6 @@ class LoadProfile:
     def __len__(self) -> int:
         return len(self.times)
 
-    def __hash__(self) -> int:
-        # the dataclass hash, computed once: every simulation looks the load up
-        return self._hash
-
-    def __getstate__(self) -> dict:
-        # datetime hashes differ between processes, so a copy recomputes its own
-        state = dict(self.__dict__)
-        state.pop("_hash", None)
-        return state
-
-    @functools.cached_property
-    def _hash(self) -> int:
-        return hash((self.times, self.durations_s, self.demand_kw))
-
     @functools.cached_property
     def durations_array(self) -> np.ndarray:
         """`durations_s` as a read-only float array."""

@@ -41,6 +41,7 @@ from .search import (
     exhaustive_search,
     grid_size,
     run_pipeline,
+    stage_counts,
 )
 from .simulator import DispatchConfig, SimulationCache, memoized_operate
 
@@ -589,18 +590,13 @@ def _cmd_exhaustive(args: argparse.Namespace) -> int:
     )
     threshold = config.search.deficit_display_threshold
     final = [d for d in non_dominated(simulated) if d.deficit_ratio <= threshold]
-    pruned = grid_size(space, levels, config.capacity_precision) - len(simulated)
+    counts = stage_counts(
+        cache, {}, len(simulated), grid_size(space, levels, config.capacity_precision)
+    )
     report = SearchReport(
         final_designs=tuple(final),
         all_simulated=cache.unique_simulations,
-        per_stage_counts={
-            "exhaustive": {
-                "simulations": cache.unique_simulations,
-                "designs": len(simulated),
-                "pruned": pruned,
-                "dispatch_runs": cache.dispatch_runs,
-            }
-        },
+        per_stage_counts={"exhaustive": counts},
         elapsed_seconds=time.perf_counter() - started,
         seed=config.search.rng_seed,
     )
@@ -609,8 +605,8 @@ def _cmd_exhaustive(args: argparse.Namespace) -> int:
         levels,
         report.all_simulated,
         len(final),
-        pruned,
-        cache.dispatch_runs,
+        counts["pruned"],
+        counts["dispatch_runs"],
     )
     write_report(report, out_path, args.format, space)
     return 0

@@ -2,8 +2,8 @@
 and local descent, chained into the full sizing pipeline.
 
 All stages share one SimulationCache, so reported simulation counts are
-unique designs evaluated, and its pre-diesel memo, so a design that differs
-from an earlier one only in diesel capacity skips the rest of the dispatch.
+unique designs evaluated, and a design that differs from an earlier one only
+in diesel capacity skips the rest of the dispatch.
 The stages run on one thread, seed by seed; results are deterministic for a
 fixed (inputs, rng_seed).
 """
@@ -295,6 +295,27 @@ def local_search(
     return _first_occurrences(seeds, trajectories)
 
 
+def stage_counts(
+    cache: SimulationCache,
+    earlier: dict[str, dict[str, int]],
+    designs: int,
+    candidates: int | None = None,
+) -> dict[str, int]:
+    """One stage's `per_stage_counts` entry: what `cache` counted after the `earlier` stages.
+
+    Given the grid `candidates` of an exhaustive stage, the entry also has
+    `pruned`, the candidates not among its `designs`.
+    """
+    counts = {
+        "simulations": cache.unique_simulations - sum(c["simulations"] for c in earlier.values()),
+        "designs": designs,
+    }
+    if candidates is not None:
+        counts["pruned"] = candidates - designs
+    counts["dispatch_runs"] = cache.dispatch_runs - sum(c["dispatch_runs"] for c in earlier.values())
+    return counts
+
+
 def run_pipeline(
     space: DesignSpace,
     load: LoadProfile,
@@ -305,19 +326,18 @@ def run_pipeline(
     """Run the three sizing stages and assemble the final non-dominated set."""
     started = time.perf_counter()
     cache = SimulationCache()
+    counts: dict[str, dict[str, int]] = {}
 
-    coarse = exhaustive_search(
-        cache, space, load, dispatch_config, search_config.coarse_level_points, precision
-    )
-    sims_stage1 = cache.unique_simulations
-    runs_stage1 = cache.dispatch_runs
-    pruned = grid_size(space, search_config.coarse_level_points, precision) - len(coarse)
+    coarse_levels = search_config.coarse_level_points
+    coarse = exhaustive_search(cache, space, load, dispatch_config, coarse_levels, precision)
+    candidates = grid_size(space, coarse_levels, precision)
+    stage = counts["exhaustive"] = stage_counts(cache, counts, len(coarse), candidates)
     log.info(
         "exhaustive stage: %d designs simulated (%d grid points per DER), %d pruned, %d dispatch runs",
-        sims_stage1,
-        search_config.coarse_level_points,
-        pruned,
-        runs_stage1,
+        stage["simulations"],
+        coarse_levels,
+        stage["pruned"],
+        stage["dispatch_runs"],
     )
 
     rng = random.Random(search_config.rng_seed)
@@ -332,13 +352,12 @@ def run_pipeline(
         search_config.outer_passes,
         precision,
     )
-    sims_stage2 = cache.unique_simulations
-    runs_stage2 = cache.dispatch_runs
+    stage = counts["binary_search"] = stage_counts(cache, counts, len(refined))
     log.info(
         "binary search stage: %d new simulations, %d designs held, %d dispatch runs",
-        sims_stage2 - sims_stage1,
+        stage["simulations"],
         len(refined),
-        runs_stage2 - runs_stage1,
+        stage["dispatch_runs"],
     )
 
     local_seeds = non_dominated(refined)
@@ -352,13 +371,12 @@ def run_pipeline(
         search_config.outer_passes,
         precision,
     )
-    sims_stage3 = cache.unique_simulations
-    runs_stage3 = cache.dispatch_runs
+    stage = counts["local_search"] = stage_counts(cache, counts, len(polished))
     log.info(
         "local search stage: %d new simulations over %d seeds, %d dispatch runs",
-        sims_stage3 - sims_stage2,
+        stage["simulations"],
         len(local_seeds),
-        runs_stage3 - runs_stage2,
+        stage["dispatch_runs"],
     )
 
     final = [
@@ -370,31 +388,14 @@ def run_pipeline(
     log.info(
         "pipeline done: %d final designs, %d unique simulations, %.2fs",
         len(final),
-        sims_stage3,
+        cache.unique_simulations,
         elapsed,
     )
 
     return SearchReport(
         final_designs=tuple(final),
-        all_simulated=sims_stage3,
-        per_stage_counts={
-            "exhaustive": {
-                "simulations": sims_stage1,
-                "designs": len(coarse),
-                "pruned": pruned,
-                "dispatch_runs": runs_stage1,
-            },
-            "binary_search": {
-                "simulations": sims_stage2 - sims_stage1,
-                "designs": len(refined),
-                "dispatch_runs": runs_stage2 - runs_stage1,
-            },
-            "local_search": {
-                "simulations": sims_stage3 - sims_stage2,
-                "designs": len(polished),
-                "dispatch_runs": runs_stage3 - runs_stage2,
-            },
-        },
+        all_simulated=cache.unique_simulations,
+        per_stage_counts=counts,
         elapsed_seconds=elapsed,
         seed=search_config.rng_seed,
     )

@@ -1,15 +1,14 @@
 """Reference microgrid operation simulator.
 
 Implements a deterministic dispatch policy (renewables, then battery, then
-diesel) behind a small simulator interface, plus a single-threaded memoizing
-cache that counts unique simulations and keeps the pre-diesel dispatch of
-recent non-diesel capacity vectors. Power in kW, energy in kWh, durations in
-seconds.
+diesel), plus the single-threaded cache that holds one search's evaluation
+state: the metrics of every design, the load invariants, and the pre-diesel
+dispatch of recent non-diesel capacity vectors. Power in kW, energy in kWh,
+durations in seconds.
 """
 
 from __future__ import annotations
 
-import abc
 import functools
 import math
 import struct
@@ -79,14 +78,6 @@ class BessState:
     energy_capacity: float
     max_charge_power: float
     max_discharge_power: float
-
-
-class SimulatorInterface(abc.ABC):
-    """Anything that can operate a microgrid design against a load profile."""
-
-    @abc.abstractmethod
-    def operate(self, design: MicrogridDesign, load: LoadProfile) -> SimulationOutcome:
-        """Run the microgrid; must be deterministic in (design, load)."""
 
 
 def pv_availability(times: Sequence[datetime], config: DispatchConfig) -> np.ndarray:
@@ -221,14 +212,13 @@ class _LoadInvariants(NamedTuple):
     hours: tuple[float, ...]
 
 
-@functools.lru_cache(maxsize=8)
 def _load_invariants(space: DesignSpace, load: LoadProfile, config: DispatchConfig) -> _LoadInvariants:
-    """Computed once per search, not per simulation; the small bound keeps memory flat."""
+    """Computed once per search, by its SimulationCache, not per simulation."""
     pv_factors = pv_availability(load.times, config)
     wind_factors = wind_availability(len(load), config)
     demand = np.asarray(load.demand_kw, dtype=float)
     for arr in (pv_factors, wind_factors, demand):
-        arr.flags.writeable = False  # shared by every caller of the cache
+        arr.flags.writeable = False  # shared by every simulation of the search
     return _LoadInvariants(
         *_merit_indices(space),
         pv_factors=pv_factors,
@@ -343,34 +333,59 @@ class _PreDiesel(NamedTuple):
     residual: np.ndarray  # the load left for diesel
 
 
-class PreDieselMemo:
-    """Recently used pre-diesel dispatch results of one search, bounded in size.
+class SimulationCache:
+    """One search's evaluation state, for one (space, load, config) on one thread.
 
-    Keyed on the bit-exact non-diesel capacities of one (space, load,
-    config); the least recently used entries go once the stored arrays
-    exceed PRE_DIESEL_MEMO_FLOATS floats. `runs` counts the pre-diesel
-    dispatches actually run. Not safe for concurrent use.
+    The cache binds itself to the input of its first evaluation and raises
+    ValueError when given another; an equal but distinct object is the same
+    input. It holds the metrics of every design evaluated, keyed by
+    `key_for`, the load invariants of its input, and a memo of the pre-diesel
+    dispatch keyed on the bit-exact non-diesel capacities, whose least
+    recently used entries go once its arrays exceed PRE_DIESEL_MEMO_FLOATS
+    floats. Not safe for concurrent use.
     """
 
     def __init__(self) -> None:
-        self._entries: OrderedDict[bytes, _PreDiesel] = OrderedDict()
-        self._floats = 0
-        self.runs = 0
+        self._inputs: tuple[DesignSpace, LoadProfile, DispatchConfig] | None = None
+        self._invariants: _LoadInvariants | None = None
+        self._designs: dict[tuple[float, ...], EvaluatedDesign] = {}
+        self._pre_diesel: OrderedDict[bytes, _PreDiesel] = OrderedDict()
+        self._pre_diesel_floats = 0
+        self.dispatch_runs = 0  # pre-diesel dispatches run; at most `unique_simulations`
 
-    def get(self, key: bytes) -> _PreDiesel | None:
-        entry = self._entries.get(key)
+    @staticmethod
+    def key_for(design: MicrogridDesign) -> tuple[float, ...]:
+        # round for key stability; +0.0 folds -0.0 into 0.0
+        return tuple(round(c, 6) + 0.0 for c in design.capacities)
+
+    @property
+    def unique_simulations(self) -> int:
+        return len(self._designs)
+
+    def _bind(self, space: DesignSpace, load: LoadProfile, config: DispatchConfig) -> _LoadInvariants:
+        """The load invariants of this cache's input; the first call sets that input."""
+        inputs = (space, load, config)
+        if self._inputs is None:
+            self._invariants = _load_invariants(space, load, config)
+            self._inputs = inputs
+        elif inputs != self._inputs:  # identical objects compare without a field walk
+            raise ValueError("this SimulationCache serves another (space, load, config)")
+        return self._invariants
+
+    def _recall(self, key: bytes) -> _PreDiesel | None:
+        entry = self._pre_diesel.get(key)
         if entry is not None:
-            self._entries.move_to_end(key)
+            self._pre_diesel.move_to_end(key)
         return entry
 
-    def put(self, key: bytes, entry: _PreDiesel) -> None:
+    def _remember(self, key: bytes, entry: _PreDiesel) -> None:
         for arr in entry:
             arr.flags.writeable = False  # handed to every later hit
-        self._entries[key] = entry
-        self._floats += sum(arr.size for arr in entry)
-        while self._floats > PRE_DIESEL_MEMO_FLOATS:
-            _, old = self._entries.popitem(last=False)
-            self._floats -= sum(arr.size for arr in old)
+        self._pre_diesel[key] = entry
+        self._pre_diesel_floats += sum(arr.size for arr in entry)
+        while self._pre_diesel_floats > PRE_DIESEL_MEMO_FLOATS:
+            _, old = self._pre_diesel.popitem(last=False)
+            self._pre_diesel_floats -= sum(arr.size for arr in old)
 
 
 def _dispatch_before_diesel(
@@ -404,7 +419,7 @@ def operate(
     design: MicrogridDesign,
     load: LoadProfile,
     config: DispatchConfig,
-    memo: PreDieselMemo | None = None,
+    cache: SimulationCache | None = None,
 ) -> SimulationOutcome:
     """Fold the dispatch policy over the whole load horizon.
 
@@ -415,13 +430,16 @@ def operate(
 
     Diesel is served last and holds no state, and the batteries charge only
     from renewable surplus, so the dispatch before diesel depends on the
-    non-diesel capacities alone. With a `memo` it runs only for non-diesel
-    capacities the memo does not hold, and a design that differs from an
-    earlier one only in diesel capacity costs just the diesel stage. The
-    outcome is the same with or without the memo.
+    non-diesel capacities alone. It runs only for non-diesel capacities that
+    the `cache` (a fresh one when none is given) does not hold, so a design
+    that differs from an earlier one only in diesel capacity costs just the
+    diesel stage. The outcome does not depend on what the cache holds.
+    Raises ValueError when `cache` serves another (space, load, config).
     """
     space.validate_design(design)
-    inv = _load_invariants(space, load, config)
+    if cache is None:
+        cache = SimulationCache()
+    inv = cache._bind(space, load, config)
     caps = design.capacities
     available = np.zeros((len(space.ders), len(load)))
     used = np.zeros_like(available)
@@ -434,20 +452,19 @@ def operate(
     rows = [*inv.pv_idx, *inv.wind_idx, *bess]
 
     key = hit = None
-    if memo is not None and bess:  # without a battery there is no recurrence to save
+    if bess:  # without a battery there is no recurrence to save
         non_diesel = inv.pv_idx + inv.wind_idx + inv.bess_idx
         key = struct.pack(f"{len(non_diesel)}d", *[caps[i] for i in non_diesel])  # keeps -0.0
-        hit = memo.get(key)
+        hit = cache._recall(key)
     if hit is not None:
         used[rows] = hit.used
         available[bess] = hit.bess_available
         remaining = hit.residual
     else:
         remaining = _dispatch_before_diesel(space, caps, bess, inv, config, available, used)
-        if memo is not None:
-            memo.runs += 1
-            if key is not None:
-                memo.put(key, _PreDiesel(used[rows], available[bess], remaining))
+        cache.dispatch_runs += 1
+        if key is not None:
+            cache._remember(key, _PreDiesel(used[rows], available[bess], remaining))
 
     for i in inv.diesel_idx:
         available[i] = caps[i]
@@ -460,52 +477,6 @@ def operate(
     )
 
 
-class ReferenceSimulator(SimulatorInterface):
-    """Deterministic dispatch simulator bound to a design space and config."""
-
-    def __init__(self, space: DesignSpace, config: DispatchConfig | None = None):
-        self.space = space
-        self.config = config if config is not None else DispatchConfig()
-
-    def operate(self, design: MicrogridDesign, load: LoadProfile) -> SimulationOutcome:
-        return operate(self.space, design, load, self.config)
-
-
-class SimulationCache:
-    """Memoizes evaluated designs by capacity vector; counts unique simulations.
-
-    One cache serves one search, that is one (space, load, config), from a
-    single thread. It owns that search's pre-diesel memo.
-    """
-
-    def __init__(self) -> None:
-        self._entries: dict[tuple[float, ...], EvaluatedDesign] = {}
-        self.pre_diesel = PreDieselMemo()
-
-    @staticmethod
-    def key_for(design: MicrogridDesign) -> tuple[float, ...]:
-        # round for key stability; +0.0 folds -0.0 into 0.0
-        return tuple(round(c, 6) + 0.0 for c in design.capacities)
-
-    @property
-    def unique_simulations(self) -> int:
-        return len(self._entries)
-
-    @property
-    def dispatch_runs(self) -> int:
-        """Pre-diesel dispatches run; at most `unique_simulations`."""
-        return self.pre_diesel.runs
-
-    def get(self, design: MicrogridDesign) -> EvaluatedDesign | None:
-        return self._entries.get(self.key_for(design))
-
-    def put(self, design: MicrogridDesign, evaluated: EvaluatedDesign) -> None:
-        self._entries[self.key_for(design)] = evaluated
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
 def memoized_operate(
     cache: SimulationCache,
     space: DesignSpace,
@@ -513,11 +484,17 @@ def memoized_operate(
     load: LoadProfile,
     config: DispatchConfig,
 ) -> EvaluatedDesign:
-    """Evaluate a design through the cache, simulating only on a miss."""
-    hit = cache.get(design)
+    """Evaluate a design through the cache, simulating only on a miss.
+
+    Raises ValueError, on a hit as on a miss, when `cache` serves another
+    (space, load, config).
+    """
+    cache._bind(space, load, config)
+    key = cache.key_for(design)
+    hit = cache._designs.get(key)
     if hit is not None:
         return hit
-    outcome = operate(space, design, load, config, cache.pre_diesel)
+    outcome = operate(space, design, load, config, cache)
     evaluated = EvaluatedDesign(
         design=design,
         deficit_ratio=deficit_ratio(outcome, load),
@@ -525,5 +502,5 @@ def memoized_operate(
             unused_ratio(outcome, i, design.capacities[i]) for i in range(len(space.ders))
         ),
     )
-    cache.put(design, evaluated)
+    cache._designs[key] = evaluated
     return evaluated

@@ -15,7 +15,9 @@ from dersizer.synthetic import load_profile_csv, synthetic_load_profile
 # a tall working-hours hump and an evening peak. Battery ratios of 0.5 h keep
 # the discharge power cap above what the energy budget allows each step, so
 # the reference dispatch is provably monotone in every capacity (pruning and
-# the monotonicity property tests rely on that).
+# the monotonicity property tests rely on that). With slower batteries it is
+# not: see test_monotonicity_fails_with_slow_battery_on_two_week_profile in
+# test_simulator.py.
 DESK_PROFILE_KWARGS = dict(
     n_steps=48,
     step_seconds=1800.0,

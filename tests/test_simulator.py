@@ -3,6 +3,7 @@ monotonicity property the pruning stage depends on."""
 
 import math
 import random
+from dataclasses import replace
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -17,13 +18,12 @@ from dersizer.core import (
     LoadProfile,
     MicrogridDesign,
     SimulationOutcome,
+    capacity_grid,
     deficit_ratio,
     unused_ratio,
 )
 from dersizer.simulator import (
     DispatchConfig,
-    PreDieselMemo,
-    ReferenceSimulator,
     SimulationCache,
     discharge_capability_kw,
     dispatch_step,
@@ -33,6 +33,7 @@ from dersizer.simulator import (
     pv_availability,
     wind_availability,
 )
+from dersizer.synthetic import two_week_profile
 
 
 def stamps(*hours):
@@ -255,13 +256,6 @@ def test_operate_wind_turbine_constant_factor(desk_load):
     assert np.all(outcome.per_der_available[0] == 200.0 * 0.35)
 
 
-def test_reference_simulator_wraps_operate(desk_load, desk_space, desk_dispatch):
-    sim = ReferenceSimulator(desk_space, desk_dispatch)
-    design = MicrogridDesign((90.0, 0.0, 0.0))
-    outcome = sim.operate(design, desk_load)
-    assert outcome.deficit_flags.sum() == 0
-
-
 def test_monotonicity_raising_capacity_never_adds_deficits(desk_load, desk_space, desk_dispatch):
     # 200 random (design, single-capacity-increase) pairs: per-step flags may
     # only switch off when any one capacity grows
@@ -274,6 +268,30 @@ def test_monotonicity_raising_capacity_never_adds_deficits(desk_load, desk_space
         base = operate(desk_space, MicrogridDesign(tuple(caps)), desk_load, desk_dispatch)
         more = operate(desk_space, MicrogridDesign(tuple(raised)), desk_load, desk_dispatch)
         assert np.all(more.deficit_flags <= base.deficit_flags)
+
+
+def test_monotonicity_fails_with_slow_battery_on_two_week_profile():
+    # The pruning stage assumes monotone dispatch. With 4 h battery ratios on
+    # the two-week profile it is not: one battery level more adds deficit.
+    load = two_week_profile()
+    space = DesignSpace(
+        ders=(
+            DerSpec(name="diesel", kind=DerKind.DIESEL_GENERATOR, upper_bound=90.0),
+            DerSpec(name="solar", kind=DerKind.PHOTOVOLTAIC, upper_bound=265.0),
+            DerSpec(
+                name="battery", kind=DerKind.BATTERY_STORAGE, upper_bound=440.0,
+                charge_ratio=4.0, discharge_ratio=4.0,
+            ),
+        )
+    )
+    grids = [capacity_grid(spec, 161).points for spec in space.ders]
+    design = MicrogridDesign((grids[0][59], grids[1][60], grids[2][72]))
+    raised = design.with_capacity(2, grids[2][73])
+    assert design.capacities == (33.1875, 99.375, 198.0)
+    assert raised.capacities == (33.1875, 99.375, 200.75)
+    cache, config = SimulationCache(), DispatchConfig()
+    assert memoized_operate(cache, space, design, load, config).deficit_ratio == 0.45634920634920634
+    assert memoized_operate(cache, space, raised, load, config).deficit_ratio == 0.45674603174603173
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +320,35 @@ def test_cache_repeated_lookups_counted_once(desk_load, desk_space, desk_dispatc
     assert len({id(r) for r in results}) == 1
     # another diesel level is a new simulation but reuses the pre-diesel dispatch
     memoized_operate(cache, desk_space, design.with_capacity(0, 45.0), desk_load, desk_dispatch)
+    assert (cache.unique_simulations, cache.dispatch_runs) == (2, 1)
+
+
+def test_cache_rejects_a_second_input(desk_load, desk_space, desk_dispatch):
+    cache = SimulationCache()
+    seen = MicrogridDesign((90.0, 53.0, 88.0))
+    memoized_operate(cache, desk_space, seen, desk_load, desk_dispatch)
+    # an equal but distinct config is the same input
+    unseen = seen.with_capacity(0, 45.0)
+    memoized_operate(cache, desk_space, unseen, desk_load, DispatchConfig())
+    unseen = unseen.with_capacity(1, 26.5)
+
+    wider = DesignSpace(ders=(replace(desk_space.ders[0], upper_bound=95.0), *desk_space.ders[1:]))
+    busier = LoadProfile(
+        times=desk_load.times,
+        durations_s=desk_load.durations_s,
+        demand_kw=tuple(1.1 * p for p in desk_load.demand_kw),
+    )
+    dimmer = DispatchConfig(pv_peak_factor=0.9)
+    for space, load, config in (
+        (wider, desk_load, desk_dispatch),
+        (desk_space, busier, desk_dispatch),
+        (desk_space, desk_load, dimmer),
+    ):
+        for design in (seen, unseen):  # the design-hit path, then the miss path
+            with pytest.raises(ValueError, match="another"):
+                memoized_operate(cache, space, design, load, config)
+        with pytest.raises(ValueError, match="another"):
+            operate(space, unseen, load, config, cache)
     assert (cache.unique_simulations, cache.dispatch_runs) == (2, 1)
 
 
@@ -452,7 +499,7 @@ def test_operate_with_memo_bitwise_equals_without(monkeypatch):
         budget = 2 * 8 * len(load) if small else default_budget
         monkeypatch.setattr(simulator, "PRE_DIESEL_MEMO_FLOATS", budget)
         kinds = [spec.kind for spec in space.ders]
-        memo = PreDieselMemo()
+        cache = SimulationCache()
         seen, expected_runs, visited = set(), 0, []
         for _ in range(40):
             if visited and rng.random() < 0.6:  # same non-diesel vector, new diesel levels
@@ -481,7 +528,7 @@ def test_operate_with_memo_bitwise_equals_without(monkeypatch):
                 seen.add(key)
                 expected_runs += 1
 
-            got = operate(space, design, load, config, memo)
+            got = operate(space, design, load, config, cache)
             plain = operate(space, design, load, config)
             want = fold_dispatch_step(space, design, load, config)
             for field in ("deficit_flags", "per_der_available", "per_der_used"):
@@ -490,6 +537,6 @@ def test_operate_with_memo_bitwise_equals_without(monkeypatch):
                     assert (a.dtype, a.shape) == (b.dtype, b.shape), field
                     assert a.tobytes() == b.tobytes(), (field, design)
         if small:
-            assert memo.runs > expected_runs  # evicted vectors ran again
+            assert cache.dispatch_runs > expected_runs  # evicted vectors ran again
         else:
-            assert memo.runs == expected_runs
+            assert cache.dispatch_runs == expected_runs
