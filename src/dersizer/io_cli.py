@@ -308,6 +308,8 @@ def parse_config(text: str, base_dir: str = ".") -> PipelineConfigFile:
     precision = float(data.get("capacity_precision", DEFAULT_CAPACITY_PRECISION))
     if not math.isfinite(precision):
         raise ValueError(f"config: capacity_precision must be finite, got {precision}")
+    if precision < 0:
+        raise ValueError(f"config: capacity_precision must be >= 0, got {precision}")
 
     return PipelineConfigFile(
         ders=ders,
@@ -584,7 +586,7 @@ def _cmd_exhaustive(args: argparse.Namespace) -> int:
     load, space, dispatch = load_inputs(config)
     levels = config.search.fine_level_points if args.levels is None else args.levels
     started = time.perf_counter()
-    cache = SimulationCache()
+    cache = SimulationCache(space, load, dispatch)
     simulated = exhaustive_search(
         cache, space, load, dispatch, levels, config.capacity_precision
     )
@@ -622,7 +624,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if len(caps) != len(space.ders):
         raise ValueError(f"--capacities needs {len(space.ders)} values, got {len(caps)}")
     design = MicrogridDesign(caps)
-    evaluated = memoized_operate(SimulationCache(), space, design, load, dispatch)
+    evaluated = memoized_operate(SimulationCache(space, load, dispatch), space, design, load, dispatch)
     for name, cap in zip(capacity_columns(space), evaluated.capacities):
         print(f"{name} {_format_capacity(cap)}")
     print(f"{DEFICIT_COLUMN} {evaluated.deficit_ratio:.4f}")

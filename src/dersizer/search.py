@@ -51,6 +51,11 @@ class SearchConfig:
     deficit_display_threshold: float = 0.01
 
     def __post_init__(self) -> None:
+        passes = () if self.outer_passes is None else ("outer_passes",)
+        for label in ("coarse_level_points", "fine_level_points", *passes):
+            value = getattr(self, label)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{label} must be an integer, got {value!r}")
         if self.coarse_level_points < 2:
             raise ValueError("coarse_level_points must be >= 2")
         if self.fine_level_points < self.coarse_level_points:
@@ -325,7 +330,7 @@ def run_pipeline(
 ) -> SearchReport:
     """Run the three sizing stages and assemble the final non-dominated set."""
     started = time.perf_counter()
-    cache = SimulationCache()
+    cache = SimulationCache(space, load, dispatch_config)
     counts: dict[str, dict[str, int]] = {}
 
     coarse_levels = search_config.coarse_level_points

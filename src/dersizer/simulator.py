@@ -58,6 +58,10 @@ class DispatchConfig:
         for label in ("pv_daylight_start", "pv_daylight_end"):
             if not math.isfinite(getattr(self, label)):
                 raise ValueError(f"{label} must be finite, got {getattr(self, label)}")
+        if self.pv_daylight_end <= self.pv_daylight_start:
+            raise ValueError(
+                f"pv daylight window is empty: start={self.pv_daylight_start}, end={self.pv_daylight_end}"
+            )
         for label, value in (
             ("pv_peak_factor", self.pv_peak_factor),
             ("bess_charge_efficiency", self.bess_charge_efficiency),
@@ -83,8 +87,6 @@ class BessState:
 def pv_availability(times: Sequence[datetime], config: DispatchConfig) -> np.ndarray:
     """Per-step PV output fraction: clamped half-sine over the daylight window."""
     start, end = config.pv_daylight_start, config.pv_daylight_end
-    if end <= start:
-        raise ValueError(f"pv daylight window is empty: start={start}, end={end}")
     span = end - start
     factors = np.zeros(len(times))
     for t, stamp in enumerate(times):
@@ -199,35 +201,6 @@ def dispatch_step(
     return tuple(used), tuple(new_states), flag
 
 
-class _LoadInvariants(NamedTuple):
-    """What every simulation of one (space, load, config) shares."""
-
-    pv_idx: tuple[int, ...]
-    wind_idx: tuple[int, ...]
-    bess_idx: tuple[int, ...]
-    diesel_idx: tuple[int, ...]
-    pv_factors: np.ndarray
-    wind_factors: np.ndarray
-    demand: np.ndarray
-    hours: tuple[float, ...]
-
-
-def _load_invariants(space: DesignSpace, load: LoadProfile, config: DispatchConfig) -> _LoadInvariants:
-    """Computed once per search, by its SimulationCache, not per simulation."""
-    pv_factors = pv_availability(load.times, config)
-    wind_factors = wind_availability(len(load), config)
-    demand = np.asarray(load.demand_kw, dtype=float)
-    for arr in (pv_factors, wind_factors, demand):
-        arr.flags.writeable = False  # shared by every simulation of the search
-    return _LoadInvariants(
-        *_merit_indices(space),
-        pv_factors=pv_factors,
-        wind_factors=wind_factors,
-        demand=demand,
-        hours=tuple(d / 3600.0 for d in load.durations_s),
-    )
-
-
 def _serve(available: np.ndarray, used: np.ndarray, remaining: np.ndarray) -> np.ndarray:
     """One stateless unit covers what it can of the remaining load at every step.
 
@@ -241,15 +214,12 @@ def _serve(available: np.ndarray, used: np.ndarray, remaining: np.ndarray) -> np
 
 
 def _step_batteries(
-    space: DesignSpace,
+    cache: SimulationCache,
     caps: tuple[float, ...],
     bess: list[int],
-    renewables: tuple[int, ...],
     available: np.ndarray,
     used: np.ndarray,
     remaining: np.ndarray,
-    hours: tuple[float, ...],
-    config: DispatchConfig,
 ) -> np.ndarray:
     """Run the battery recurrence of `dispatch_step` over time on plain floats.
 
@@ -260,6 +230,8 @@ def _step_batteries(
     that of `dispatch_step` and `discharge_capability_kw`, so every value is
     bitwise equal to theirs.
     """
+    space, config, hours = cache.space, cache.config, cache.hours
+    renewables = cache.pv_idx + cache.wind_idx
     eta_c = config.bess_charge_efficiency
     eta_d = config.bess_discharge_efficiency
     capacity = [caps[i] for i in bess]
@@ -336,18 +308,25 @@ class _PreDiesel(NamedTuple):
 class SimulationCache:
     """One search's evaluation state, for one (space, load, config) on one thread.
 
-    The cache binds itself to the input of its first evaluation and raises
-    ValueError when given another; an equal but distinct object is the same
-    input. It holds the metrics of every design evaluated, keyed by
-    `key_for`, the load invariants of its input, and a memo of the pre-diesel
-    dispatch keyed on the bit-exact non-diesel capacities, whose least
-    recently used entries go once its arrays exceed PRE_DIESEL_MEMO_FLOATS
-    floats. Not safe for concurrent use.
+    Built for one input, whose load invariants it computes once: the merit
+    indices, the PV and wind factors, the demand and the step hours. Raises
+    ValueError when asked about another input; an equal but distinct object
+    is the same input. It holds the metrics of every design evaluated, keyed
+    by `key_for`, and a memo of the pre-diesel dispatch keyed on the
+    bit-exact non-diesel capacities, whose least recently used entries go
+    once its arrays exceed PRE_DIESEL_MEMO_FLOATS floats. Not safe for
+    concurrent use.
     """
 
-    def __init__(self) -> None:
-        self._inputs: tuple[DesignSpace, LoadProfile, DispatchConfig] | None = None
-        self._invariants: _LoadInvariants | None = None
+    def __init__(self, space: DesignSpace, load: LoadProfile, config: DispatchConfig) -> None:
+        self.space, self.load, self.config = space, load, config
+        self.pv_idx, self.wind_idx, self.bess_idx, self.diesel_idx = _merit_indices(space)
+        self.pv_factors = pv_availability(load.times, config)
+        self.wind_factors = wind_availability(len(load), config)
+        self.demand = np.asarray(load.demand_kw, dtype=float)
+        for arr in (self.pv_factors, self.wind_factors, self.demand):
+            arr.flags.writeable = False  # shared by every simulation of the search
+        self.hours = tuple(d / 3600.0 for d in load.durations_s)
         self._designs: dict[tuple[float, ...], EvaluatedDesign] = {}
         self._pre_diesel: OrderedDict[bytes, _PreDiesel] = OrderedDict()
         self._pre_diesel_floats = 0
@@ -362,15 +341,10 @@ class SimulationCache:
     def unique_simulations(self) -> int:
         return len(self._designs)
 
-    def _bind(self, space: DesignSpace, load: LoadProfile, config: DispatchConfig) -> _LoadInvariants:
-        """The load invariants of this cache's input; the first call sets that input."""
-        inputs = (space, load, config)
-        if self._inputs is None:
-            self._invariants = _load_invariants(space, load, config)
-            self._inputs = inputs
-        elif inputs != self._inputs:  # identical objects compare without a field walk
+    def _check_input(self, space: DesignSpace, load: LoadProfile, config: DispatchConfig) -> None:
+        # identical objects compare without a field walk
+        if (space, load, config) != (self.space, self.load, self.config):
             raise ValueError("this SimulationCache serves another (space, load, config)")
-        return self._invariants
 
     def _recall(self, key: bytes) -> _PreDiesel | None:
         entry = self._pre_diesel.get(key)
@@ -386,32 +360,6 @@ class SimulationCache:
         while self._pre_diesel_floats > PRE_DIESEL_MEMO_FLOATS:
             _, old = self._pre_diesel.popitem(last=False)
             self._pre_diesel_floats -= sum(arr.size for arr in old)
-
-
-def _dispatch_before_diesel(
-    space: DesignSpace,
-    caps: tuple[float, ...],
-    bess: list[int],
-    inv: _LoadInvariants,
-    config: DispatchConfig,
-    available: np.ndarray,
-    used: np.ndarray,
-) -> np.ndarray:
-    """Renewables serve load in merit order, then the batteries step through time.
-
-    Needs the renewable rows of `available` filled; fills the renewable and
-    battery rows of `used` and the battery rows of `available`, and returns
-    the load left for diesel.
-    """
-    renewables = inv.pv_idx + inv.wind_idx
-    remaining = inv.demand
-    for i in renewables:
-        remaining = _serve(available[i], used[i], remaining)
-    if bess:
-        remaining = _step_batteries(
-            space, caps, bess, renewables, available, used, remaining, inv.hours, config
-        )
-    return remaining
 
 
 def operate(
@@ -431,29 +379,32 @@ def operate(
     Diesel is served last and holds no state, and the batteries charge only
     from renewable surplus, so the dispatch before diesel depends on the
     non-diesel capacities alone. It runs only for non-diesel capacities that
-    the `cache` (a fresh one when none is given) does not hold, so a design
-    that differs from an earlier one only in diesel capacity costs just the
-    diesel stage. The outcome does not depend on what the cache holds.
-    Raises ValueError when `cache` serves another (space, load, config).
+    the `cache` (a new one for this input when none is given) does not hold,
+    so a design that differs from an earlier one only in diesel capacity
+    costs just the diesel stage. The outcome does not depend on what the
+    cache holds. Raises ValueError when `cache` serves another
+    (space, load, config).
     """
     space.validate_design(design)
     if cache is None:
-        cache = SimulationCache()
-    inv = cache._bind(space, load, config)
+        cache = SimulationCache(space, load, config)
+    else:
+        cache._check_input(space, load, config)
     caps = design.capacities
     available = np.zeros((len(space.ders), len(load)))
     used = np.zeros_like(available)
-    for i in inv.pv_idx:
-        available[i] = caps[i] * inv.pv_factors
-    for i in inv.wind_idx:
-        available[i] = caps[i] * inv.wind_factors
+    for i in cache.pv_idx:
+        available[i] = caps[i] * cache.pv_factors
+    for i in cache.wind_idx:
+        available[i] = caps[i] * cache.wind_factors
+    renewables = cache.pv_idx + cache.wind_idx
     # a zero-capacity battery neither charges nor discharges: its rows stay 0
-    bess = [i for i in inv.bess_idx if caps[i] != 0.0]
-    rows = [*inv.pv_idx, *inv.wind_idx, *bess]
+    bess = [i for i in cache.bess_idx if caps[i] != 0.0]
+    rows = [*renewables, *bess]
 
     key = hit = None
     if bess:  # without a battery there is no recurrence to save
-        non_diesel = inv.pv_idx + inv.wind_idx + inv.bess_idx
+        non_diesel = renewables + cache.bess_idx
         key = struct.pack(f"{len(non_diesel)}d", *[caps[i] for i in non_diesel])  # keeps -0.0
         hit = cache._recall(key)
     if hit is not None:
@@ -461,12 +412,17 @@ def operate(
         available[bess] = hit.bess_available
         remaining = hit.residual
     else:
-        remaining = _dispatch_before_diesel(space, caps, bess, inv, config, available, used)
+        # renewables serve load in merit order, then the batteries step through time
+        remaining = cache.demand
+        for i in renewables:
+            remaining = _serve(available[i], used[i], remaining)
+        if bess:
+            remaining = _step_batteries(cache, caps, bess, available, used, remaining)
         cache.dispatch_runs += 1
         if key is not None:
             cache._remember(key, _PreDiesel(used[rows], available[bess], remaining))
 
-    for i in inv.diesel_idx:
+    for i in cache.diesel_idx:
         available[i] = caps[i]
         remaining = _serve(available[i], used[i], remaining)
 
@@ -489,7 +445,7 @@ def memoized_operate(
     Raises ValueError, on a hit as on a miss, when `cache` serves another
     (space, load, config).
     """
-    cache._bind(space, load, config)
+    cache._check_input(space, load, config)
     key = cache.key_for(design)
     hit = cache._designs.get(key)
     if hit is not None:

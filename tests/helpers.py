@@ -1,0 +1,54 @@
+"""Plain test helpers, imported by conftest.py and the test modules as `helpers`."""
+
+from __future__ import annotations
+
+import math
+from datetime import datetime, timedelta
+
+import numpy as np
+
+from dersizer import LoadProfile
+from dersizer.core import SimulationOutcome
+
+# Battery ratio of the one-day desk instance (see conftest.py).
+DESK_BESS_RATIO_H = 0.5
+
+
+def ceil_to(value: float, quantum: float = 5.0) -> float:
+    return math.ceil(value / quantum - 1e-9) * quantum
+
+
+def constant_load(kw: float, n_steps: int = 4, step_seconds: float = 1800.0) -> LoadProfile:
+    start = datetime(2024, 3, 4)
+    times = tuple(start + timedelta(seconds=step_seconds * k) for k in range(n_steps))
+    return LoadProfile(
+        times=times, durations_s=(step_seconds,) * n_steps, demand_kw=(float(kw),) * n_steps
+    )
+
+
+def make_outcome(flags, available, used):
+    return SimulationOutcome(
+        deficit_flags=np.array(flags, dtype=np.int8),
+        per_der_available=np.array(available, dtype=float),
+        per_der_used=np.array(used, dtype=float),
+    )
+
+
+def desk_config_document(load_csv_name: str, output_name: str, rng_seed: int = 42) -> dict:
+    """Pipeline config JSON mirroring the desk fixtures, for CLI tests."""
+    return {
+        "ders": [
+            {"name": "diesel", "kind": "diesel_generator"},
+            {"name": "solar", "kind": "photovoltaic"},
+            {
+                "name": "battery",
+                "kind": "battery_storage",
+                "charge_ratio": DESK_BESS_RATIO_H,
+                "discharge_ratio": DESK_BESS_RATIO_H,
+            },
+        ],
+        "search": {"rng_seed": rng_seed},
+        "dispatch": {},
+        "load_path": load_csv_name,
+        "output_path": output_name,
+    }

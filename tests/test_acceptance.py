@@ -25,7 +25,7 @@ from dersizer.io_cli import main as cli_main
 from dersizer.search import SearchConfig, build_grids, exhaustive_search, run_pipeline
 from dersizer.simulator import DispatchConfig, SimulationCache, memoized_operate, operate
 from dersizer.synthetic import two_week_profile
-from tests.conftest import ceil_to, constant_load
+from helpers import ceil_to, constant_load, make_outcome
 
 FINE_POINTS = 11
 PIPELINE_SEED = 42
@@ -38,7 +38,7 @@ def report_line(number: int, passed: bool, detail: str) -> None:
 @pytest.fixture(scope="module")
 def oracle(desk_load, desk_space, desk_dispatch):
     """Exhaustive enumeration at the fine grid: the ground-truth design set."""
-    cache = SimulationCache()
+    cache = SimulationCache(desk_space, desk_load, desk_dispatch)
     started = time.perf_counter()
     evaluated = exhaustive_search(cache, desk_space, desk_load, desk_dispatch, FINE_POINTS)
     elapsed = time.perf_counter() - started
@@ -80,7 +80,7 @@ def check_finals_valid_and_recovering(finals, oracle_data):
 def check_rightsized(finals, desk_load, desk_space, desk_dispatch):
     """Criterion 2 body: every zero-deficit final is single-step minimal."""
     grids = build_grids(desk_space, FINE_POINTS)
-    cache = SimulationCache()
+    cache = SimulationCache(desk_space, desk_load, desk_dispatch)
     violations = []
     for design in finals:
         if design.deficit_ratio != 0:
@@ -172,7 +172,7 @@ def test_criterion_4_prune_soundness(oracle, desk_load, desk_space, desk_dispatc
                 caps = (i0, i1, i2)
                 if caps not in simulated_keys:
                     pruned.append(caps)
-    cache = SimulationCache()
+    cache = SimulationCache(desk_space, desk_load, desk_dispatch)
     unsound = []
     for caps in pruned:
         evaluated = memoized_operate(
@@ -206,8 +206,6 @@ def test_criterion_4_prune_soundness(oracle, desk_load, desk_space, desk_dispatc
 
 
 def test_criterion_5_metric_exactness():
-    from tests.test_core import make_outcome
-
     load4 = constant_load(50.0, n_steps=4, step_seconds=240.0)
     exact = [
         deficit_ratio(make_outcome([0, 0, 0, 0], [[0.0] * 4], [[0.0] * 4]), load4) == 0.0,

@@ -4,7 +4,6 @@ import math
 import pickle
 import random
 
-import numpy as np
 import pytest
 
 from dersizer.core import (
@@ -15,7 +14,6 @@ from dersizer.core import (
     EvaluatedDesign,
     LoadProfile,
     MicrogridDesign,
-    SimulationOutcome,
     capacity_grid,
     deficit_ratio,
     dominates,
@@ -23,15 +21,7 @@ from dersizer.core import (
     snap_to_grid,
     unused_ratio,
 )
-from tests.conftest import constant_load
-
-
-def make_outcome(flags, available, used):
-    return SimulationOutcome(
-        deficit_flags=np.array(flags, dtype=np.int8),
-        per_der_available=np.array(available, dtype=float),
-        per_der_used=np.array(used, dtype=float),
-    )
+from helpers import constant_load, make_outcome
 
 
 def ev(caps, deficit, unused=None):

@@ -22,7 +22,7 @@ from dersizer.io_cli import (
     unused_columns,
 )
 from dersizer.synthetic import load_profile_csv, two_week_profile
-from tests.conftest import desk_config_document
+from helpers import desk_config_document
 
 
 def make_load_csv(rows):
@@ -449,6 +449,43 @@ def test_cli_bad_config_exits_2(tmp_path):
     assert run_cli("size", "--config", str(bad), "--out", str(tmp_path / "x.csv")) == 2
     missing = tmp_path / "nope.json"
     assert run_cli("size", "--config", str(missing), "--out", str(tmp_path / "x.csv")) == 2
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("outer_passes", 1.5),
+        ("outer_passes", True),
+        ("fine_level_points", 11.0),
+        ("coarse_level_points", 3.0),
+        ("capacity_precision", -1.0),
+    ],
+)
+def test_cli_bad_level_counts_and_precision_exit_2(desk_cli_dir, capsys, field, value):
+    doc = json.loads((desk_cli_dir / "config.json").read_text())
+    if field == "capacity_precision":
+        doc[field] = value
+        message = f"config: capacity_precision must be >= 0, got {value}"
+    else:
+        doc["search"][field] = value
+        message = f"config.search: {field} must be an integer, got {value!r}"
+    bad = desk_cli_dir / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    out = desk_cli_dir / "x.csv"
+    assert run_cli("size", "--config", str(bad), "--out", str(out)) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_empty_daylight_window_exits_2(desk_cli_dir, capsys):
+    # rejected with the dispatch config, before the safety cap is consulted
+    doc = json.loads((desk_cli_dir / "config.json").read_text())
+    doc["dispatch"] = {"pv_daylight_start": 18.0, "pv_daylight_end": 6.0}
+    bad = desk_cli_dir / "night.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    out = str(desk_cli_dir / "x.csv")
+    assert run_cli("exhaustive", "--config", str(bad), "--levels", "500", "--out", out) == 2
+    assert "config.dispatch: pv daylight window is empty" in capsys.readouterr().err
 
 
 def test_cli_non_finite_inputs_exit_2(desk_cli_dir, capsys):

@@ -17,7 +17,7 @@ from dersizer.search import (
     run_pipeline,
 )
 from dersizer.simulator import DispatchConfig, SimulationCache, memoized_operate
-from tests.conftest import constant_load
+from helpers import constant_load
 
 
 @pytest.fixture()
@@ -52,8 +52,8 @@ def test_initial_step_size_rejects_nonpositive():
 def test_exhaustive_prunes_below_first_deficit(diesel_space):
     # constant 50 kW load on grid {0,20,...,100}: descending enumeration
     # simulates 100, 80, 60 (fine) and 40 (deficit); 20 and 0 are pruned
-    cache = SimulationCache()
     load = constant_load(50.0)
+    cache = SimulationCache(diesel_space, load, DispatchConfig())
     result = exhaustive_search(cache, diesel_space, load, DispatchConfig(), 6)
     assert caps_of(result) == [(40.0,), (60.0,), (80.0,), (100.0,)]
     assert cache.unique_simulations == 4
@@ -63,8 +63,8 @@ def test_exhaustive_prunes_below_first_deficit(diesel_space):
 
 def test_exhaustive_never_prunes_upper_corner(diesel_space):
     # even under an unservable load the all-max design is simulated
-    cache = SimulationCache()
     load = constant_load(500.0)
+    cache = SimulationCache(diesel_space, load, DispatchConfig())
     result = exhaustive_search(cache, diesel_space, load, DispatchConfig(), 6)
     assert (100.0,) in {d.capacities for d in result}
     # everything below the corner is pruned
@@ -72,8 +72,8 @@ def test_exhaustive_never_prunes_upper_corner(diesel_space):
 
 
 def test_exhaustive_zero_load_simulates_everything(diesel_space):
-    cache = SimulationCache()
     load = constant_load(0.0)
+    cache = SimulationCache(diesel_space, load, DispatchConfig())
     result = exhaustive_search(cache, diesel_space, load, DispatchConfig(), 6)
     assert cache.unique_simulations == 6
     assert all(d.deficit_ratio == 0 for d in result)
@@ -86,8 +86,9 @@ def test_exhaustive_enumeration_order_first_der_descends_slowest():
             DerSpec(name="b", kind=DerKind.DIESEL_GENERATOR, upper_bound=10.0),
         )
     )
-    cache = SimulationCache()
-    result = exhaustive_search(cache, space, constant_load(0.0), DispatchConfig(), 2)
+    load = constant_load(0.0)
+    cache = SimulationCache(space, load, DispatchConfig())
+    result = exhaustive_search(cache, space, load, DispatchConfig(), 2)
     assert [d.capacities for d in result] == [
         (10.0, 10.0),
         (10.0, 0.0),
@@ -103,10 +104,9 @@ def test_exhaustive_refuses_oversized_product(diesel_space):
             DerSpec(name="other", kind=DerKind.PHOTOVOLTAIC, upper_bound=50.0),
         )
     )
+    load, config = constant_load(0.0), DispatchConfig()
     with pytest.raises(SearchSpaceTooLarge):
-        exhaustive_search(
-            SimulationCache(), two, constant_load(0.0), DispatchConfig(), 6, safety_cap=10
-        )
+        exhaustive_search(SimulationCache(two, load, config), two, load, config, 6, safety_cap=10)
 
 
 # ---------------------------------------------------------------------------
@@ -115,8 +115,8 @@ def test_exhaustive_refuses_oversized_product(diesel_space):
 def test_binary_search_descends_to_minimal_feasible(diesel_space):
     # load 55 on {0,10,...,100}: h=8 overshoots to 20 (deficit), h=4 lands on
     # 60 then overshoots, h=2 and h=1 both reject; 60 is minimal feasible
-    cache = SimulationCache()
     load = constant_load(55.0)
+    cache = SimulationCache(diesel_space, load, DispatchConfig())
     seed = memoized_operate(cache, diesel_space, MicrogridDesign((100.0,)), load, DispatchConfig())
     out = binary_search_refine(
         cache, diesel_space, load, DispatchConfig(), 11, [seed], random.Random(0)
@@ -130,8 +130,8 @@ def test_binary_search_descends_to_minimal_feasible(diesel_space):
 def test_binary_search_flips_direction_at_upper_bound(diesel_space):
     # an infeasible seed climbs until feasible, hits the bound, then turns
     # back down to the minimal feasible design
-    cache = SimulationCache()
     load = constant_load(55.0)
+    cache = SimulationCache(diesel_space, load, DispatchConfig())
     seed = memoized_operate(cache, diesel_space, MicrogridDesign((0.0,)), load, DispatchConfig())
     out = binary_search_refine(
         cache, diesel_space, load, DispatchConfig(), 11, [seed], random.Random(0)
@@ -143,8 +143,8 @@ def test_binary_search_flips_direction_at_upper_bound(diesel_space):
 
 
 def test_binary_search_feasible_lower_bound_stays_put(diesel_space):
-    cache = SimulationCache()
     load = constant_load(0.0)
+    cache = SimulationCache(diesel_space, load, DispatchConfig())
     seed = memoized_operate(cache, diesel_space, MicrogridDesign((0.0,)), load, DispatchConfig())
     out = binary_search_refine(
         cache, diesel_space, load, DispatchConfig(), 11, [seed], random.Random(0)
@@ -154,8 +154,8 @@ def test_binary_search_feasible_lower_bound_stays_put(diesel_space):
 
 
 def test_binary_search_snaps_offgrid_seeds(diesel_space):
-    cache = SimulationCache()
     load = constant_load(55.0)
+    cache = SimulationCache(diesel_space, load, DispatchConfig())
     seed = memoized_operate(cache, diesel_space, MicrogridDesign((94.0,)), load, DispatchConfig())
     out = binary_search_refine(
         cache, diesel_space, load, DispatchConfig(), 11, [seed], random.Random(0)
@@ -166,11 +166,12 @@ def test_binary_search_snaps_offgrid_seeds(diesel_space):
 
 
 def test_binary_search_requires_seeds(diesel_space):
+    load = constant_load(1.0)
     with pytest.raises(ValueError):
         binary_search_refine(
-            SimulationCache(),
+            SimulationCache(diesel_space, load, DispatchConfig()),
             diesel_space,
-            constant_load(1.0),
+            load,
             DispatchConfig(),
             11,
             [],
@@ -180,7 +181,7 @@ def test_binary_search_requires_seeds(diesel_space):
 
 def test_binary_search_deterministic_for_fixed_rng(desk_load, desk_space, desk_dispatch):
     def run():
-        cache = SimulationCache()
+        cache = SimulationCache(desk_space, desk_load, desk_dispatch)
         seeds = exhaustive_search(cache, desk_space, desk_load, desk_dispatch, 6)
         out = binary_search_refine(
             cache, desk_space, desk_load, desk_dispatch, 11, seeds, random.Random(99)
@@ -196,8 +197,8 @@ def test_binary_search_deterministic_for_fixed_rng(desk_load, desk_space, desk_d
 # local search
 
 def test_local_search_descends_single_levels(diesel_space):
-    cache = SimulationCache()
     load = constant_load(50.0)
+    cache = SimulationCache(diesel_space, load, DispatchConfig())
     seed = memoized_operate(cache, diesel_space, MicrogridDesign((100.0,)), load, DispatchConfig())
     out = local_search(cache, diesel_space, load, DispatchConfig(), 6, [seed])
     assert caps_of(out) == [(40.0,), (60.0,), (80.0,), (100.0,)]
@@ -207,8 +208,8 @@ def test_local_search_descends_single_levels(diesel_space):
 
 
 def test_local_search_skips_deficit_seeds(diesel_space):
-    cache = SimulationCache()
     load = constant_load(150.0)
+    cache = SimulationCache(diesel_space, load, DispatchConfig())
     seed = memoized_operate(cache, diesel_space, MicrogridDesign((100.0,)), load, DispatchConfig())
     out = local_search(cache, diesel_space, load, DispatchConfig(), 6, [seed])
     assert caps_of(out) == [(100.0,)]
@@ -216,8 +217,8 @@ def test_local_search_skips_deficit_seeds(diesel_space):
 
 
 def test_local_search_lower_bound_seed_generates_nothing(diesel_space):
-    cache = SimulationCache()
     load = constant_load(0.0)
+    cache = SimulationCache(diesel_space, load, DispatchConfig())
     seed = memoized_operate(cache, diesel_space, MicrogridDesign((0.0,)), load, DispatchConfig())
     out = local_search(cache, diesel_space, load, DispatchConfig(), 6, [seed])
     assert caps_of(out) == [(0.0,)]
@@ -228,7 +229,7 @@ def test_local_search_second_pass_recovers_cross_der_slack(desk_load, desk_space
     # descending one DER can make an earlier DER reducible again; the
     # outer pass loop must catch that, leaving a design that is minimal
     # against every single-level decrease
-    cache = SimulationCache()
+    cache = SimulationCache(desk_space, desk_load, desk_dispatch)
     grids = build_grids(desk_space, 11)
     start = MicrogridDesign(tuple(g.points[-1] for g in grids))
     seed = memoized_operate(cache, desk_space, start, desk_load, desk_dispatch)
@@ -323,3 +324,13 @@ def test_search_config_validation():
         SearchConfig(deficit_display_threshold=-0.1)
     with pytest.raises(ValueError):
         SearchConfig(deficit_display_threshold=float("nan"))
+    for field, value in (
+        ("coarse_level_points", 3.0),
+        ("fine_level_points", 11.0),
+        ("outer_passes", 1.5),
+        ("outer_passes", True),
+        ("fine_level_points", "11"),
+    ):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SearchConfig(**{field: value})
+    assert SearchConfig(outer_passes=None).outer_passes is None

@@ -80,7 +80,7 @@ def test_pv_availability_scales_with_peak_factor():
 
 
 def test_pv_availability_rejects_empty_window():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="pv daylight window is empty"):
         pv_availability(stamps(12.0), DispatchConfig(pv_daylight_start=18.0, pv_daylight_end=6.0))
 
 
@@ -101,6 +101,9 @@ def test_dispatch_config_validation():
         DispatchConfig(wind_capacity_factor=1.5)
     with pytest.raises(ValueError, match="pv_daylight_end must be finite"):
         DispatchConfig(pv_daylight_end=math.nan)
+    for start, end in ((18.0, 6.0), (12.0, 12.0)):
+        with pytest.raises(ValueError, match="pv daylight window is empty"):
+            DispatchConfig(pv_daylight_start=start, pv_daylight_end=end)
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +292,8 @@ def test_monotonicity_fails_with_slow_battery_on_two_week_profile():
     raised = design.with_capacity(2, grids[2][73])
     assert design.capacities == (33.1875, 99.375, 198.0)
     assert raised.capacities == (33.1875, 99.375, 200.75)
-    cache, config = SimulationCache(), DispatchConfig()
+    config = DispatchConfig()
+    cache = SimulationCache(space, load, config)
     assert memoized_operate(cache, space, design, load, config).deficit_ratio == 0.45634920634920634
     assert memoized_operate(cache, space, raised, load, config).deficit_ratio == 0.45674603174603173
 
@@ -298,7 +302,7 @@ def test_monotonicity_fails_with_slow_battery_on_two_week_profile():
 # cache
 
 def test_cache_counts_unique_designs_once(desk_load, desk_space, desk_dispatch):
-    cache = SimulationCache()
+    cache = SimulationCache(desk_space, desk_load, desk_dispatch)
     design = MicrogridDesign((90.0, 0.0, 0.0))
     first = memoized_operate(cache, desk_space, design, desk_load, desk_dispatch)
     second = memoized_operate(cache, desk_space, design, desk_load, desk_dispatch)
@@ -310,7 +314,7 @@ def test_cache_counts_unique_designs_once(desk_load, desk_space, desk_dispatch):
 
 
 def test_cache_repeated_lookups_counted_once(desk_load, desk_space, desk_dispatch):
-    cache = SimulationCache()
+    cache = SimulationCache(desk_space, desk_load, desk_dispatch)
     design = MicrogridDesign((90.0, 53.0, 88.0))
     results = [
         memoized_operate(cache, desk_space, design, desk_load, desk_dispatch) for _ in range(16)
@@ -324,7 +328,7 @@ def test_cache_repeated_lookups_counted_once(desk_load, desk_space, desk_dispatc
 
 
 def test_cache_rejects_a_second_input(desk_load, desk_space, desk_dispatch):
-    cache = SimulationCache()
+    cache = SimulationCache(desk_space, desk_load, desk_dispatch)
     seen = MicrogridDesign((90.0, 53.0, 88.0))
     memoized_operate(cache, desk_space, seen, desk_load, desk_dispatch)
     # an equal but distinct config is the same input
@@ -359,7 +363,7 @@ def test_cache_key_folds_negative_zero():
 
 
 def test_memoized_metrics_match_direct_computation(desk_load, desk_space, desk_dispatch):
-    cache = SimulationCache()
+    cache = SimulationCache(desk_space, desk_load, desk_dispatch)
     design = MicrogridDesign((45.0, 106.0, 176.0))
     evaluated = memoized_operate(cache, desk_space, design, desk_load, desk_dispatch)
     outcome = operate(desk_space, design, desk_load, desk_dispatch)
@@ -476,7 +480,7 @@ def test_operate_bitwise_equals_folded_dispatch_step():
                 assert (a.dtype, a.shape) == (b.dtype, b.shape), field
                 assert a.tobytes() == b.tobytes(), (field, design)
 
-            evaluated = memoized_operate(SimulationCache(), space, design, load, config)
+            evaluated = memoized_operate(SimulationCache(space, load, config), space, design, load, config)
             assert evaluated.deficit_ratio == deficit_ratio(want, load)
             assert evaluated.unused_ratios == tuple(
                 unused_ratio(want, i, c) for i, c in enumerate(design.capacities)
@@ -499,7 +503,7 @@ def test_operate_with_memo_bitwise_equals_without(monkeypatch):
         budget = 2 * 8 * len(load) if small else default_budget
         monkeypatch.setattr(simulator, "PRE_DIESEL_MEMO_FLOATS", budget)
         kinds = [spec.kind for spec in space.ders]
-        cache = SimulationCache()
+        cache = SimulationCache(space, load, config)
         seen, expected_runs, visited = set(), 0, []
         for _ in range(40):
             if visited and rng.random() < 0.6:  # same non-diesel vector, new diesel levels
