@@ -305,7 +305,10 @@ def parse_config(text: str, base_dir: str = ".") -> PipelineConfigFile:
     load_path = data.get("load_path")
     if not load_path:
         raise ValueError("config: load_path is required")
-    precision = float(data.get("capacity_precision", DEFAULT_CAPACITY_PRECISION))
+    precision = data.get("capacity_precision", DEFAULT_CAPACITY_PRECISION)
+    if isinstance(precision, bool) or not isinstance(precision, (int, float)):
+        raise ValueError(f"config: capacity_precision must be a number, got {precision!r}")
+    precision = float(precision)
     if not math.isfinite(precision):
         raise ValueError(f"config: capacity_precision must be finite, got {precision}")
     if precision < 0:

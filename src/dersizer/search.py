@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+import numbers
 import random
 import time
 from dataclasses import dataclass
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 from .core import (
     DEFAULT_CAPACITY_PRECISION,
     CapacityGrid,
+    DerKind,
     DesignSpace,
     EvaluatedDesign,
     LoadProfile,
@@ -52,10 +54,13 @@ class SearchConfig:
 
     def __post_init__(self) -> None:
         passes = () if self.outer_passes is None else ("outer_passes",)
-        for label in ("coarse_level_points", "fine_level_points", *passes):
+        for label in ("coarse_level_points", "fine_level_points", *passes, "rng_seed"):
             value = getattr(self, label)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"{label} must be an integer, got {value!r}")
+        threshold = self.deficit_display_threshold
+        if isinstance(threshold, bool) or not isinstance(threshold, numbers.Real):
+            raise ValueError(f"deficit_display_threshold must be a number, got {threshold!r}")
         if self.coarse_level_points < 2:
             raise ValueError("coarse_level_points must be >= 2")
         if self.fine_level_points < self.coarse_level_points:
@@ -108,10 +113,14 @@ def exhaustive_search(
 ) -> list[EvaluatedDesign]:
     """Enumerate the full capacity grid, skipping provably deficient designs.
 
-    Candidates are visited with each DER's capacities descending (the first
-    DER varies slowest), so a design whose single-level-raised neighbor is
-    already known deficient can be pruned without simulating: under a
-    monotone simulator it can only be worse. Returns the simulated designs.
+    Candidates are visited with each DER's capacities descending, so a
+    design whose single-level-raised neighbor is already known deficient can
+    be pruned without simulating: under a monotone simulator it can only be
+    worse. Diesel DERs vary fastest, so all diesel levels of one non-diesel
+    vector run back to back on its memoised pre-diesel dispatch; every
+    all-descending order visits each raised neighbor first, so the order
+    changes no prune decision. Returns the simulated designs in the order
+    of a plain descending enumeration (the first DER varying slowest).
     """
     grids = build_grids(space, level_points, precision)
     total = grid_size(space, level_points, precision)
@@ -121,28 +130,33 @@ def exhaustive_search(
         )
 
     n_ders = len(space.ders)
-    tops = tuple(g.n_intervals for g in grids)
+    # a visited tuple holds the levels of the DERs in `order`; DER i's is at where[i]
+    order = sorted(range(n_ders), key=lambda i: space.ders[i].kind is DerKind.DIESEL_GENERATOR)
+    where = [order.index(i) for i in range(n_ders)]
+    tops = tuple(grids[i].n_intervals for i in order)
     deficit_set: set[tuple[int, ...]] = set()
-    simulated: list[EvaluatedDesign] = []
+    simulated: list[tuple[tuple[int, ...], EvaluatedDesign]] = []
 
-    for idx in itertools.product(*(range(top, -1, -1) for top in tops)):
+    for visit in itertools.product(*(range(top, -1, -1) for top in tops)):
         pruned = False
-        for i in range(n_ders):
-            if idx[i] >= tops[i]:
+        for k in range(n_ders):
+            if visit[k] >= tops[k]:
                 continue  # raised neighbor clamps to itself
-            neighbor = idx[:i] + (idx[i] + 1,) + idx[i + 1 :]
+            neighbor = visit[:k] + (visit[k] + 1,) + visit[k + 1 :]
             if neighbor in deficit_set:
-                deficit_set.add(idx)
+                deficit_set.add(visit)
                 pruned = True
                 break
         if pruned:
             continue
-        design = MicrogridDesign(tuple(grids[i].points[idx[i]] for i in range(n_ders)))
+        idx = tuple(visit[k] for k in where)
+        design = MicrogridDesign(tuple(grids[i].points[level] for i, level in enumerate(idx)))
         evaluated = memoized_operate(cache, space, design, load, dispatch_config)
-        simulated.append(evaluated)
+        simulated.append((idx, evaluated))
         if evaluated.deficit_ratio > 0:
-            deficit_set.add(idx)
-    return simulated
+            deficit_set.add(visit)
+    simulated.sort(key=lambda entry: entry[0], reverse=True)
+    return [evaluated for _, evaluated in simulated]
 
 
 def _binary_search_one_seed(

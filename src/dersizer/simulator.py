@@ -226,12 +226,27 @@ def _step_batteries(
     Renewable surplus charges the batteries in merit order, then the
     batteries discharge into the remaining load. Fills the battery rows of
     `available` and `used`, adds charging draw to the renewable rows of
-    `used`, and returns the load left for diesel. The operation order is
-    that of `dispatch_step` and `discharge_capability_kw`, so every value is
-    bitwise equal to theirs.
+    `used`, and returns the load left for diesel.
+
+    Only the steps where a battery can act are stepped, which is exact:
+    - A renewable with spare power at a step served all the load left when
+      its turn came, so a step with surplus has no load left and a step
+      with load left has no surplus. Steps therefore fall into alternating
+      runs with and without surplus, and each run takes only the charge
+      branch or only the discharge branch.
+    - Once every battery is full in a surplus run, the rest of the run can
+      change nothing, and once every battery is at or below its floor in a
+      run without surplus, neither can the rest of that run; both are
+      skipped.
+    The energy stored at the start of every step, skipped ones included, is
+    recorded, and the battery `available` rows are computed from it after
+    the loop with `discharge_capability_kw`'s operations in its order. Each
+    `min(a, b)` of `dispatch_step` is written as a conditional that keeps
+    `min`'s tie rule (a wins unless b < a), so every value is bitwise equal
+    to the folded `dispatch_step`.
     """
-    space, config, hours = cache.space, cache.config, cache.hours
-    renewables = cache.pv_idx + cache.wind_idx
+    space, config = cache.space, cache.config
+    renewables = [*cache.pv_idx, *cache.wind_idx]
     eta_c = config.bess_charge_efficiency
     eta_d = config.bess_discharge_efficiency
     capacity = [caps[i] for i in bess]
@@ -239,54 +254,84 @@ def _step_batteries(
     floor = [config.bess_min_soc * c for c in capacity]
     max_charge = [caps[i] / space.ders[i].charge_ratio for i in bess]
     max_discharge = [caps[i] / space.ders[i].discharge_ratio for i in bess]
-    n_steps = len(hours)
-    bess_available = [[0.0] * n_steps for _ in bess]
-    bess_used = [[0.0] * n_steps for _ in bess]
-    ren_available = [available[j].tolist() for j in renewables]
+    n_steps = len(cache.hours)
+    hours = cache.hours.tolist()
+    surplus = np.zeros(n_steps, dtype=bool)
+    for j in renewables:
+        surplus |= available[j] > used[j]  # a - u > 0 exactly when a > u
+    # runs of steps with surplus and of steps without alternate, split at these bounds
+    bounds = [0, *(np.flatnonzero(surplus[1:] != surplus[:-1]) + 1).tolist(), n_steps]
+    charging = bool(surplus[0])
     ren_used = [used[j].tolist() for j in renewables]
+    sources = list(zip([available[j].tolist() for j in renewables], ren_used))
+    bess_used = [[0.0] * n_steps for _ in bess]
     rest = remaining.tolist()
+    levels: list[float] = []  # energy stored at the start of each step, batteries innermost
     batteries = range(len(bess))
-    sources = range(len(renewables))
 
-    for t, h in enumerate(hours):
-        for b in batteries:
-            usable = stored[b] - floor[b]
-            if usable > 0:
-                bess_available[b][t] = min(max_discharge[b], usable * eta_d / h)
+    for run_start, run_end in zip(bounds, bounds[1:]):
+        if charging:
+            for t in range(run_start, run_end):
+                levels += stored
+                h = hours[t]
+                room = False
+                for b in batteries:
+                    headroom = capacity[b] - stored[b]
+                    if headroom <= 0:
+                        continue
+                    room = True
+                    budget = headroom / (eta_c * h)
+                    if not budget < max_charge[b]:
+                        budget = max_charge[b]
+                    charged = 0.0
+                    for source_available, source_used in sources:
+                        spare = source_available[t] - source_used[t]
+                        take = budget - charged
+                        if not take < spare:
+                            take = spare
+                        if take > 0:
+                            source_used[t] += take
+                            charged += take
+                    if charged > 0:
+                        stored[b] = stored[b] + charged * eta_c * h
+                if not room:  # all full: the rest of this run changes nothing
+                    levels += stored * (run_end - t - 1)
+                    break
+        else:
+            for t in range(run_start, run_end):
+                levels += stored
+                h = hours[t]
+                r = rest[t]
+                able = False
+                for b in batteries:
+                    usable = stored[b] - floor[b]
+                    if usable <= 0:
+                        continue
+                    able = True  # set before the load check: a step without load ends no run
+                    if r <= 0:
+                        break
+                    give = usable * eta_d / h
+                    if not give < max_discharge[b]:
+                        give = max_discharge[b]
+                    if not give < r:
+                        give = r
+                    if give > 0:
+                        bess_used[b][t] = give
+                        r -= give
+                        stored[b] = stored[b] - give * h / eta_d
+                if not able:  # all at their floor: the rest of this run changes nothing
+                    levels += stored * (run_end - t - 1)
+                    break
+                rest[t] = r
+        charging = not charging
 
-        for b in batteries:
-            headroom = capacity[b] - stored[b]
-            if headroom <= 0:
-                continue
-            budget = min(max_charge[b], headroom / (eta_c * h))
-            charged = 0.0
-            for k in sources:
-                take = min(ren_available[k][t] - ren_used[k][t], budget - charged)
-                if take > 0:
-                    ren_used[k][t] += take
-                    charged += take
-            if charged > 0:
-                stored[b] = stored[b] + charged * eta_c * h
-
-        r = rest[t]
-        for b in batteries:
-            if r <= 0:
-                break
-            usable = stored[b] - floor[b]
-            if usable <= 0:
-                continue
-            give = min(r, min(max_discharge[b], usable * eta_d / h))
-            if give > 0:
-                bess_used[b][t] = give
-                r -= give
-                stored[b] = stored[b] - give * h / eta_d
-        rest[t] = r
-
-    for k, j in enumerate(renewables):
-        used[j] = ren_used[k]
-    for b, i in enumerate(bess):
-        available[i] = bess_available[b]
-        used[i] = bess_used[b]
+    usable = np.array(levels).reshape(n_steps, len(bess)).T - np.array(floor)[:, None]
+    limit = usable * eta_d / cache.hours
+    ceiling = np.array(max_discharge)[:, None]
+    available[bess] = np.where(usable > 0, np.where(limit < ceiling, limit, ceiling), 0.0)
+    for rows, values in ((renewables, ren_used), (bess, bess_used)):
+        for i, row in zip(rows, values):
+            used[i] = row
     return np.array(rest)
 
 
@@ -324,9 +369,9 @@ class SimulationCache:
         self.pv_factors = pv_availability(load.times, config)
         self.wind_factors = wind_availability(len(load), config)
         self.demand = np.asarray(load.demand_kw, dtype=float)
-        for arr in (self.pv_factors, self.wind_factors, self.demand):
+        self.hours = load.durations_array / 3600.0
+        for arr in (self.pv_factors, self.wind_factors, self.demand, self.hours):
             arr.flags.writeable = False  # shared by every simulation of the search
-        self.hours = tuple(d / 3600.0 for d in load.durations_s)
         self._designs: dict[tuple[float, ...], EvaluatedDesign] = {}
         self._pre_diesel: OrderedDict[bytes, _PreDiesel] = OrderedDict()
         self._pre_diesel_floats = 0
@@ -374,7 +419,10 @@ def operate(
     Bitwise equal to folding `dispatch_step` over time, its specification.
     The stateless stages (renewables, then diesel, each serving load in
     merit order) run elementwise over all steps at once; only the battery
-    state is stepped in time.
+    state is stepped in time, and only at steps where a battery can act:
+    stretches where every battery is full and facing surplus, or at its
+    floor and facing load, cannot change anything and are skipped (see
+    `_step_batteries`).
 
     Diesel is served last and holds no state, and the batteries charge only
     from renewable surplus, so the dispatch before diesel depends on the

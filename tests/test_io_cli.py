@@ -477,6 +477,31 @@ def test_cli_bad_level_counts_and_precision_exit_2(desk_cli_dir, capsys, field, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("rng_seed", 1.5, "config.search: rng_seed must be an integer, got 1.5"),
+        ("rng_seed", True, "config.search: rng_seed must be an integer, got True"),
+        (
+            "deficit_display_threshold",
+            True,
+            "config.search: deficit_display_threshold must be a number, got True",
+        ),
+        ("capacity_precision", True, "config: capacity_precision must be a number, got True"),
+        ("capacity_precision", "1", "config: capacity_precision must be a number, got '1'"),
+    ],
+)
+def test_cli_non_numeric_search_inputs_exit_2(desk_cli_dir, capsys, field, value, message):
+    doc = json.loads((desk_cli_dir / "config.json").read_text())
+    (doc if field == "capacity_precision" else doc["search"])[field] = value
+    bad = desk_cli_dir / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    out = desk_cli_dir / "x.csv"
+    assert run_cli("size", "--config", str(bad), "--out", str(out)) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_empty_daylight_window_exits_2(desk_cli_dir, capsys):
     # rejected with the dispatch config, before the safety cap is consulted
     doc = json.loads((desk_cli_dir / "config.json").read_text())

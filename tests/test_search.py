@@ -1,5 +1,6 @@
 """Algorithm traces on tiny instances, plus pipeline-level properties."""
 
+import itertools
 import random
 
 import pytest
@@ -12,9 +13,11 @@ from dersizer.search import (
     binary_search_refine,
     build_grids,
     exhaustive_search,
+    grid_size,
     initial_step_size,
     local_search,
     run_pipeline,
+    stage_counts,
 )
 from dersizer.simulator import DispatchConfig, SimulationCache, memoized_operate
 from helpers import constant_load
@@ -95,6 +98,46 @@ def test_exhaustive_enumeration_order_first_der_descends_slowest():
         (0.0, 10.0),
         (0.0, 0.0),
     ]
+
+
+def plain_descending_exhaustive(cache, space, load, config, level_points):
+    """The pruned enumeration with the first DER varying slowest, through `cache`."""
+    grids = build_grids(space, level_points)
+    tops = tuple(g.n_intervals for g in grids)
+    deficient, simulated = set(), []
+    for idx in itertools.product(*(range(top, -1, -1) for top in tops)):
+        raised = (idx[:i] + (idx[i] + 1,) + idx[i + 1 :] for i, top in enumerate(tops) if idx[i] < top)
+        if any(neighbor in deficient for neighbor in raised):
+            deficient.add(idx)
+            continue
+        design = MicrogridDesign(tuple(g.points[k] for g, k in zip(grids, idx)))
+        evaluated = memoized_operate(cache, space, design, load, config)
+        simulated.append(evaluated)
+        if evaluated.deficit_ratio > 0:
+            deficient.add(idx)
+    return simulated
+
+
+@pytest.mark.parametrize("order", [(0, 1, 2), (1, 0, 2, 3)])
+def test_exhaustive_diesel_innermost_matches_plain_order_with_fewer_runs(
+    desk_load, desk_space, desk_dispatch, monkeypatch, order
+):
+    # a second diesel between the others checks that every diesel goes innermost
+    second_diesel = DerSpec(name="diesel_b", kind=DerKind.DIESEL_GENERATOR, upper_bound=30.0)
+    ders = (*desk_space.ders, second_diesel)
+    space = DesignSpace(ders=tuple(ders[i] for i in order))
+    # about three pre-diesel entries: far fewer than the non-diesel vectors
+    monkeypatch.setattr(simulator, "PRE_DIESEL_MEMO_FLOATS", 3 * 4 * len(desk_load))
+    levels = 7 if len(order) == 3 else 5
+    plain_cache = SimulationCache(space, desk_load, desk_dispatch)
+    plain = plain_descending_exhaustive(plain_cache, space, desk_load, desk_dispatch, levels)
+    cache = SimulationCache(space, desk_load, desk_dispatch)
+    got = exhaustive_search(cache, space, desk_load, desk_dispatch, levels)
+    assert got == plain
+    assert cache.unique_simulations == plain_cache.unique_simulations == len(got)
+    candidates = grid_size(space, levels)
+    assert stage_counts(cache, {}, len(got), candidates)["pruned"] == candidates - len(plain) > 0
+    assert cache.dispatch_runs < plain_cache.dispatch_runs
 
 
 def test_exhaustive_refuses_oversized_product(diesel_space):
@@ -333,4 +376,11 @@ def test_search_config_validation():
     ):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             SearchConfig(**{field: value})
+    for field, value in (("rng_seed", 1.5), ("rng_seed", True), ("rng_seed", "7")):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SearchConfig(**{field: value})
+    for value in (True, False, "0.01", None):
+        with pytest.raises(ValueError, match="deficit_display_threshold must be a number"):
+            SearchConfig(deficit_display_threshold=value)
     assert SearchConfig(outer_passes=None).outer_passes is None
+    assert SearchConfig(rng_seed=-3, deficit_display_threshold=0).deficit_display_threshold == 0

@@ -8,6 +8,8 @@ from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dersizer import simulator
 from dersizer.core import (
@@ -485,6 +487,76 @@ def test_operate_bitwise_equals_folded_dispatch_step():
             assert evaluated.unused_ratios == tuple(
                 unused_ratio(want, i, c) for i, c in enumerate(design.capacities)
             )
+
+
+def segments(draw, levels, n_steps):
+    """A per-step series of `n_steps` values held constant over random stretches."""
+    series = []
+    while len(series) < n_steps:
+        series += [draw(levels)] * draw(st.integers(1, 60))
+    return series[:n_steps]
+
+
+@st.composite
+def dispatch_cases(draw):
+    """(space, design, load, config): 0-2 PV, optional wind, 1-3 batteries, 0-2 diesels.
+
+    Demand and wind are held over stretches of up to 60 steps, so that some
+    profiles keep a battery full through days of surplus and others hold it
+    at its floor through long windless nights.
+    """
+    bound = st.floats(20.0, 400.0)
+    ratio = st.sampled_from([0.25, 0.5, 2.0]) | st.floats(0.1, 8.0)
+    n_pv = draw(st.integers(0, 2))
+    ders = [DerSpec(f"pv{k}", DerKind.PHOTOVOLTAIC, upper_bound=draw(bound)) for k in range(n_pv)]
+    wind = draw(st.sampled_from(["none", "constant", "series"]))
+    if wind != "none":
+        ders.append(DerSpec("wind", DerKind.WIND_TURBINE, upper_bound=draw(bound)))
+    for k in range(draw(st.integers(1, 3))):
+        ders.append(
+            DerSpec(
+                f"bess{k}", DerKind.BATTERY_STORAGE, upper_bound=draw(bound),
+                charge_ratio=draw(ratio), discharge_ratio=draw(ratio),
+            )
+        )
+    for k in range(draw(st.integers(0, 2))):
+        ders.append(DerSpec(f"diesel{k}", DerKind.DIESEL_GENERATOR, upper_bound=draw(bound)))
+    space = DesignSpace(ders=tuple(draw(st.permutations(ders))))
+    capacities = (st.sampled_from([0.0, d.upper_bound]) | st.floats(0.0, d.upper_bound) for d in space.ders)
+    design = MicrogridDesign(tuple(draw(c) for c in capacities))
+
+    n_steps = draw(st.integers(1, 200))
+    step = st.sampled_from([600.0, 900.0, 1800.0, 3600.0, 5400.0])
+    durations = [draw(step) for _ in range(n_steps)]
+    kw = st.sampled_from([0.0, 5.0, 60.0, 250.0]) | st.floats(0.0, 300.0)
+    demand = segments(draw, kw, n_steps)
+    start = datetime(2024, 6, 1, draw(st.integers(0, 23)))
+    times = tuple(start + timedelta(seconds=sum(durations[:t])) for t in range(n_steps))
+    load = LoadProfile(times=times, durations_s=tuple(durations), demand_kw=tuple(demand))
+
+    factor = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+    wind_factor = tuple(segments(draw, factor, n_steps)) if wind == "series" else draw(factor)
+    min_soc = draw(st.floats(0.0, 0.6))
+    config = DispatchConfig(
+        wind_capacity_factor=wind_factor,
+        bess_charge_efficiency=draw(st.floats(0.5, 1.0)),
+        bess_discharge_efficiency=draw(st.floats(0.5, 1.0)),
+        bess_min_soc=min_soc,
+        bess_initial_soc=draw(st.floats(min_soc, 1.0, exclude_min=True)),
+    )
+    return space, design, load, config
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(dispatch_cases())
+def test_operate_bitwise_equals_folded_dispatch_step_property(case):
+    space, design, load, config = case
+    got = operate(space, design, load, config)
+    want = fold_dispatch_step(space, design, load, config)
+    for field in ("deficit_flags", "per_der_available", "per_der_used"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), field
+        assert a.tobytes() == b.tobytes(), field
 
 
 def test_operate_with_memo_bitwise_equals_without(monkeypatch):
