@@ -98,11 +98,12 @@ class DesignSpace:
                 f"design has {len(design.capacities)} capacities, space has {len(self.ders)} DERs"
             )
         for cap, spec in zip(design.capacities, self.ders):
-            if not (spec.lower_bound - 1e-9 <= cap <= spec.upper_bound + 1e-9):
+            # the bound tolerance never admits a negative capacity; -0.0 is not negative
+            if cap < 0 or not (spec.lower_bound - 1e-9 <= cap <= spec.upper_bound + 1e-9):
                 raise ValueError(f"{spec.name}: capacity {cap} outside [{spec.lower_bound}, {spec.upper_bound}]")
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class MicrogridDesign:
     """A capacity vector, one value per DER in the owning DesignSpace."""
 
@@ -155,6 +156,11 @@ class LoadProfile:
         durations = np.asarray(self.durations_s, dtype=float)
         durations.flags.writeable = False
         return durations
+
+    @functools.cached_property
+    def durations_sum(self) -> np.float64:
+        """`durations_array.sum()`, the denominator of every deficit ratio."""
+        return self.durations_array.sum()
 
     @property
     def peak_kw(self) -> float:
@@ -212,7 +218,7 @@ class SimulationOutcome:
             arr.flags.writeable = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EvaluatedDesign:
     """A design together with its performance metrics.
 
@@ -276,8 +282,7 @@ def deficit_ratio(outcome: SimulationOutcome, load: LoadProfile) -> float:
     flags = outcome.deficit_flags
     if len(flags) != len(load):
         raise ValueError(f"outcome has {len(flags)} steps, load has {len(load)}")
-    durations = load.durations_array
-    return float(np.dot(flags, durations) / durations.sum())
+    return float(np.dot(flags, load.durations_array) / load.durations_sum)
 
 
 def unused_ratio(outcome: SimulationOutcome, der_index: int, capacity: float) -> float:
@@ -293,13 +298,12 @@ def unused_ratio(outcome: SimulationOutcome, der_index: int, capacity: float) ->
     if capacity == 0:
         return -1.0
     available = outcome.per_der_available[der_index]
-    used = outcome.per_der_used[der_index]
     mask = available > EPS_POWER
-    n_available = int(mask.sum())
+    n_available = int(np.count_nonzero(mask))
     if n_available == 0:
         return -1.0
-    n_underused = int((used[mask] < available[mask] - EPS_POWER).sum())
-    return n_underused / n_available
+    mask &= outcome.per_der_used[der_index] < available - EPS_POWER
+    return int(np.count_nonzero(mask)) / n_available
 
 
 def dominates(a: EvaluatedDesign, b: EvaluatedDesign) -> bool:

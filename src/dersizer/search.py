@@ -133,29 +133,29 @@ def exhaustive_search(
     # a visited tuple holds the levels of the DERs in `order`; DER i's is at where[i]
     order = sorted(range(n_ders), key=lambda i: space.ders[i].kind is DerKind.DIESEL_GENERATOR)
     where = [order.index(i) for i in range(n_ders)]
-    tops = tuple(grids[i].n_intervals for i in order)
-    deficit_set: set[tuple[int, ...]] = set()
+    tops = [grids[i].n_intervals for i in order]
+    # a candidate's neighbor raised one level at position k was visited
+    # strides[k] candidates before it
+    strides = [math.prod(top + 1 for top in tops[k + 1 :]) for k in range(n_ders)]
+    neighbors = list(zip(tops, strides))
+    deficient = bytearray(total)  # by visit rank: simulated deficient, or pruned
     simulated: list[tuple[tuple[int, ...], EvaluatedDesign]] = []
 
-    for visit in itertools.product(*(range(top, -1, -1) for top in tops)):
-        pruned = False
-        for k in range(n_ders):
-            if visit[k] >= tops[k]:
-                continue  # raised neighbor clamps to itself
-            neighbor = visit[:k] + (visit[k] + 1,) + visit[k + 1 :]
-            if neighbor in deficit_set:
-                deficit_set.add(visit)
-                pruned = True
+    levels = itertools.product(*(range(top, -1, -1) for top in tops))
+    capacities = itertools.product(*(grids[i].points[::-1] for i in order))
+    for rank, (visit, caps) in enumerate(zip(levels, capacities)):
+        for level, (top, stride) in zip(visit, neighbors):
+            # a top level's raised neighbor clamps to itself
+            if level < top and deficient[rank - stride]:
+                deficient[rank] = 1
                 break
-        if pruned:
-            continue
-        idx = tuple(visit[k] for k in where)
-        design = MicrogridDesign(tuple(grids[i].points[level] for i, level in enumerate(idx)))
-        evaluated = memoized_operate(cache, space, design, load, dispatch_config)
-        simulated.append((idx, evaluated))
-        if evaluated.deficit_ratio > 0:
-            deficit_set.add(visit)
-    simulated.sort(key=lambda entry: entry[0], reverse=True)
+        else:
+            design = MicrogridDesign(tuple([caps[k] for k in where]))
+            evaluated = memoized_operate(cache, space, design, load, dispatch_config)
+            simulated.append((visit, evaluated))
+            if evaluated.deficit_ratio > 0:
+                deficient[rank] = 1
+    simulated.sort(key=lambda entry: [entry[0][k] for k in where], reverse=True)
     return [evaluated for _, evaluated in simulated]
 
 

@@ -201,7 +201,7 @@ def dispatch_step(
     return tuple(used), tuple(new_states), flag
 
 
-def _serve(available: np.ndarray, used: np.ndarray, remaining: np.ndarray) -> np.ndarray:
+def _serve(available: np.ndarray | float, used: np.ndarray, remaining: np.ndarray) -> np.ndarray:
     """One stateless unit covers what it can of the remaining load at every step.
 
     Writes the unit's draw into `used` and returns the new remaining load,
@@ -246,7 +246,7 @@ def _step_batteries(
     to the folded `dispatch_step`.
     """
     space, config = cache.space, cache.config
-    renewables = [*cache.pv_idx, *cache.wind_idx]
+    renewables = cache.renewable_idx
     eta_c = config.bess_charge_efficiency
     eta_d = config.bess_discharge_efficiency
     capacity = [caps[i] for i in bess]
@@ -255,7 +255,7 @@ def _step_batteries(
     max_charge = [caps[i] / space.ders[i].charge_ratio for i in bess]
     max_discharge = [caps[i] / space.ders[i].discharge_ratio for i in bess]
     n_steps = len(cache.hours)
-    hours = cache.hours.tolist()
+    hours = cache.hours_list
     surplus = np.zeros(n_steps, dtype=bool)
     for j in renewables:
         surplus |= available[j] > used[j]  # a - u > 0 exactly when a > u
@@ -353,34 +353,52 @@ class _PreDiesel(NamedTuple):
 class SimulationCache:
     """One search's evaluation state, for one (space, load, config) on one thread.
 
-    Built for one input, whose load invariants it computes once: the merit
-    indices, the PV and wind factors, the demand and the step hours. Raises
-    ValueError when asked about another input; an equal but distinct object
-    is the same input. It holds the metrics of every design evaluated, keyed
-    by `key_for`, and a memo of the pre-diesel dispatch keyed on the
-    bit-exact non-diesel capacities, whose least recently used entries go
-    once its arrays exceed PRE_DIESEL_MEMO_FLOATS floats. Not safe for
-    concurrent use.
+    Built for one input, whose invariants it computes once: the merit
+    indices, the PV and wind factors, the demand, the step hours (also as a
+    list for the battery recurrence) and the packing of the non-diesel key.
+    Raises ValueError when asked about another input; an equal but distinct
+    object is the same input. It holds:
+    - the metrics of every design evaluated, keyed by `key_for`;
+    - a memo of the pre-diesel dispatch keyed by `non_diesel_key`, whose
+      least recently used entries go once its arrays exceed
+      PRE_DIESEL_MEMO_FLOATS floats;
+    - the unused ratios of the non-diesel DERs, by `non_diesel_key` too.
+      They are exact for every diesel level, because diesel is served last
+      and writes only its own rows. The table holds one small tuple per
+      distinct non-diesel vector, at most one per unique simulation, and is
+      kept apart from the memo so it neither evicts nor is evicted.
+    Not safe for concurrent use.
     """
 
     def __init__(self, space: DesignSpace, load: LoadProfile, config: DispatchConfig) -> None:
         self.space, self.load, self.config = space, load, config
         self.pv_idx, self.wind_idx, self.bess_idx, self.diesel_idx = _merit_indices(space)
+        self.renewable_idx = self.pv_idx + self.wind_idx
+        self.non_diesel_idx = self.renewable_idx + self.bess_idx
+        merit_order = self.non_diesel_idx + self.diesel_idx
+        self._der_positions = tuple(merit_order.index(i) for i in range(len(space.ders)))
+        self._non_diesel_struct = struct.Struct(f"{len(self.non_diesel_idx)}d")
         self.pv_factors = pv_availability(load.times, config)
         self.wind_factors = wind_availability(len(load), config)
         self.demand = np.asarray(load.demand_kw, dtype=float)
         self.hours = load.durations_array / 3600.0
         for arr in (self.pv_factors, self.wind_factors, self.demand, self.hours):
             arr.flags.writeable = False  # shared by every simulation of the search
+        self.hours_list = self.hours.tolist()
         self._designs: dict[tuple[float, ...], EvaluatedDesign] = {}
         self._pre_diesel: OrderedDict[bytes, _PreDiesel] = OrderedDict()
         self._pre_diesel_floats = 0
+        self._non_diesel_ratios: dict[bytes, tuple[float, ...]] = {}
         self.dispatch_runs = 0  # pre-diesel dispatches run; at most `unique_simulations`
 
     @staticmethod
     def key_for(design: MicrogridDesign) -> tuple[float, ...]:
         # round for key stability; +0.0 folds -0.0 into 0.0
-        return tuple(round(c, 6) + 0.0 for c in design.capacities)
+        return tuple([round(c, 6) + 0.0 for c in design.capacities])
+
+    def non_diesel_key(self, capacities: tuple[float, ...]) -> bytes:
+        """The non-diesel capacities packed bit for bit (-0.0 stays apart from 0.0)."""
+        return self._non_diesel_struct.pack(*[capacities[i] for i in self.non_diesel_idx])
 
     @property
     def unique_simulations(self) -> int:
@@ -429,9 +447,10 @@ def operate(
     non-diesel capacities alone. It runs only for non-diesel capacities that
     the `cache` (a new one for this input when none is given) does not hold,
     so a design that differs from an earlier one only in diesel capacity
-    costs just the diesel stage. The outcome does not depend on what the
-    cache holds. Raises ValueError when `cache` serves another
-    (space, load, config).
+    costs the copy of the memoised rows into new matrices and the diesel
+    stage, which serves against the scalar capacity. The outcome does not
+    depend on what the cache holds. Raises ValueError when `cache` serves
+    another (space, load, config).
     """
     space.validate_design(design)
     if cache is None:
@@ -440,20 +459,19 @@ def operate(
         cache._check_input(space, load, config)
     caps = design.capacities
     available = np.zeros((len(space.ders), len(load)))
-    used = np.zeros_like(available)
+    used = np.zeros(available.shape)
     for i in cache.pv_idx:
         available[i] = caps[i] * cache.pv_factors
     for i in cache.wind_idx:
         available[i] = caps[i] * cache.wind_factors
-    renewables = cache.pv_idx + cache.wind_idx
+    renewables = cache.renewable_idx
     # a zero-capacity battery neither charges nor discharges: its rows stay 0
     bess = [i for i in cache.bess_idx if caps[i] != 0.0]
     rows = [*renewables, *bess]
 
     key = hit = None
     if bess:  # without a battery there is no recurrence to save
-        non_diesel = renewables + cache.bess_idx
-        key = struct.pack(f"{len(non_diesel)}d", *[caps[i] for i in non_diesel])  # keeps -0.0
+        key = cache.non_diesel_key(caps)
         hit = cache._recall(key)
     if hit is not None:
         used[rows] = hit.used
@@ -472,7 +490,7 @@ def operate(
 
     for i in cache.diesel_idx:
         available[i] = caps[i]
-        remaining = _serve(available[i], used[i], remaining)
+        remaining = _serve(caps[i], used[i], remaining)
 
     return SimulationOutcome(
         deficit_flags=(remaining > EPS_POWER).astype(np.int8),
@@ -490,8 +508,14 @@ def memoized_operate(
 ) -> EvaluatedDesign:
     """Evaluate a design through the cache, simulating only on a miss.
 
-    Raises ValueError, on a hit as on a miss, when `cache` serves another
-    (space, load, config).
+    A miss runs `operate` once. The unused ratios of the non-diesel DERs are
+    computed only for a non-diesel capacity vector the cache has not seen;
+    they depend on nothing else, because diesel is served last and writes
+    only its own rows. So a design that differs from an earlier one only in
+    diesel capacity costs the diesel stage, its deficit ratio and the diesel
+    unused ratios, and its metrics equal those of an evaluation without the
+    cache bit for bit. Raises ValueError, on a hit as on a miss, when
+    `cache` serves another (space, load, config).
     """
     cache._check_input(space, load, config)
     key = cache.key_for(design)
@@ -499,12 +523,17 @@ def memoized_operate(
     if hit is not None:
         return hit
     outcome = operate(space, design, load, config, cache)
+    caps = design.capacities
+    non_diesel_key = cache.non_diesel_key(caps)
+    non_diesel = cache._non_diesel_ratios.get(non_diesel_key)
+    if non_diesel is None:
+        non_diesel = tuple(unused_ratio(outcome, i, caps[i]) for i in cache.non_diesel_idx)
+        cache._non_diesel_ratios[non_diesel_key] = non_diesel
+    merit_ratios = non_diesel + tuple(unused_ratio(outcome, i, caps[i]) for i in cache.diesel_idx)
     evaluated = EvaluatedDesign(
         design=design,
         deficit_ratio=deficit_ratio(outcome, load),
-        unused_ratios=tuple(
-            unused_ratio(outcome, i, design.capacities[i]) for i in range(len(space.ders))
-        ),
+        unused_ratios=tuple(merit_ratios[p] for p in cache._der_positions),
     )
     cache._designs[key] = evaluated
     return evaluated

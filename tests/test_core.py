@@ -1,12 +1,15 @@
 """Metric, grid and dominance unit tests, including brute-force cross-checks."""
 
+import dataclasses
 import math
 import pickle
 import random
 
+import numpy as np
 import pytest
 
 from dersizer.core import (
+    EPS_POWER,
     CapacityGrid,
     DerKind,
     DerSpec,
@@ -159,6 +162,37 @@ def test_unused_ratio_stays_in_unit_interval():
 
     with pytest.raises(ValueError):
         unused_ratio(make_outcome([0], [[1.0]], [[1.0]]), 3, 10.0)
+
+
+def boolean_index_unused_ratio(outcome, der_index, capacity):
+    """The formula `unused_ratio` counted with before it counted without copies."""
+    if capacity == 0:
+        return -1.0
+    available = outcome.per_der_available[der_index]
+    used = outcome.per_der_used[der_index]
+    mask = available > EPS_POWER
+    n_available = int(mask.sum())
+    if n_available == 0:
+        return -1.0
+    n_underused = int((used[mask] < available[mask] - EPS_POWER).sum())
+    return n_underused / n_available
+
+
+def test_unused_ratio_equals_boolean_index_formula():
+    rng = random.Random(11)
+    eps = EPS_POWER
+    # values at and one ulp around the tolerance, where the comparisons flip
+    edges = [0.0, -0.0, eps, -eps, 2 * eps, math.nextafter(eps, 0.0), math.nextafter(eps, 1.0)]
+    gaps = [0.0, eps, -eps, math.nextafter(eps, 0.0), math.nextafter(eps, 1.0), 2 * eps]
+    for case in range(300):
+        n = rng.randint(1, 24)
+        available = [rng.choice(edges) if rng.random() < 0.5 else rng.uniform(0.0, 5.0) for _ in range(n)]
+        used = [a - rng.choice(gaps) if rng.random() < 0.7 else rng.uniform(0.0, 5.0) for a in available]
+        outcome = make_outcome([0] * n, [available], [used])
+        capacity = rng.choice([0.0, -0.0, 1.0])
+        got = unused_ratio(outcome, 0, capacity)
+        assert repr(got) == repr(boolean_index_unused_ratio(outcome, 0, capacity)), case
+        assert type(got) is float
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +366,49 @@ def test_design_space_validation():
         DesignSpace(ders=(d, d))
 
 
+def test_validate_design_rejects_negative_capacity_inside_the_tolerance():
+    space = DesignSpace(
+        ders=(
+            DerSpec(name="d", kind=DerKind.DIESEL_GENERATOR, upper_bound=100.0),
+            DerSpec(name="b", kind=DerKind.BATTERY_STORAGE, upper_bound=50.0, charge_ratio=1.0, discharge_ratio=1.0),
+        )
+    )
+    for bad in (-5e-10, -1e-9, -math.ulp(0.0), -1.0, math.nan):
+        with pytest.raises(ValueError, match="b: capacity"):
+            space.validate_design(MicrogridDesign((10.0, bad)))
+    for good in (0.0, -0.0, 50.0, 50.0 + 5e-10, 50.0 + 1e-9):  # the upper bound keeps its tolerance
+        space.validate_design(MicrogridDesign((10.0, good)))
+    with pytest.raises(ValueError, match="b: capacity"):
+        space.validate_design(MicrogridDesign((10.0, 50.0 + 2e-9)))
+    above_zero = DesignSpace(ders=(DerSpec(name="p", kind=DerKind.PHOTOVOLTAIC, lower_bound=10.0, upper_bound=20.0),))
+    above_zero.validate_design(MicrogridDesign((10.0 - 5e-10,)))  # a positive lower bound keeps it too
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        MicrogridDesign((90.0, -0.0, 12.5)),
+        EvaluatedDesign(design=MicrogridDesign((90.0, 0.0)), deficit_ratio=0.25, unused_ratios=(0.5, -1.0)),
+    ],
+    ids=["MicrogridDesign", "EvaluatedDesign"],
+)
+def test_value_types_are_slotted_and_pickle(value):
+    assert not hasattr(value, "__dict__")
+    copy = pickle.loads(pickle.dumps(value))
+    assert copy == value and repr(copy) == repr(value) and hash(copy) == hash(value)
+    field = dataclasses.fields(value)[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(copy, field, getattr(value, field))
+    if isinstance(value, MicrogridDesign):
+        changed = dataclasses.replace(value, capacities=(1, 2, 3))
+        assert changed.capacities == (1.0, 2.0, 3.0)  # __post_init__ still runs
+        assert value.with_capacity(1, 5.0) == MicrogridDesign((90.0, 5.0, 12.5))
+    else:
+        changed = dataclasses.replace(value, deficit_ratio=0.5)
+        assert (changed.design, changed.deficit_ratio, changed.unused_ratios) == (value.design, 0.5, value.unused_ratios)
+        assert changed.capacities == (90.0, 0.0)
+
+
 def test_load_profile_validation():
     good = constant_load(10.0, n_steps=3)
     assert len(good) == 3
@@ -360,3 +437,5 @@ def test_load_profile_hash_and_durations_cached_consistently():
     assert durations is load.durations_array
     assert not durations.flags.writeable
     assert durations.tolist() == list(load.durations_s)
+    assert load.durations_sum is load.durations_sum
+    assert load.durations_sum.tobytes() == durations.sum().tobytes()

@@ -5,6 +5,7 @@ import math
 import random
 from dataclasses import replace
 from datetime import datetime, timedelta
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from dersizer.core import (
     DerKind,
     DerSpec,
     DesignSpace,
+    EvaluatedDesign,
     LoadProfile,
     MicrogridDesign,
     SimulationOutcome,
@@ -374,6 +376,35 @@ def test_memoized_metrics_match_direct_computation(desk_load, desk_space, desk_d
         assert evaluated.unused_ratios[i] == unused_ratio(outcome, i, design.capacities[i])
 
 
+def test_memoized_operate_rejects_a_negative_capacity_and_caches_nothing(desk_load, desk_space, desk_dispatch):
+    cache = SimulationCache(desk_space, desk_load, desk_dispatch)
+    with pytest.raises(ValueError, match="battery: capacity"):
+        memoized_operate(cache, desk_space, MicrogridDesign((45.0, 106.0, -5e-10)), desk_load, desk_dispatch)
+    assert (cache.unique_simulations, cache.dispatch_runs) == (0, 0)
+    assert not cache._pre_diesel and not cache._non_diesel_ratios
+    evaluated = memoized_operate(cache, desk_space, MicrogridDesign((45.0, 106.0, -0.0)), desk_load, desk_dispatch)
+    assert evaluated.unused_ratios[2] == -1.0
+
+
+def test_diesel_only_change_computes_only_the_diesel_unused_ratio(desk_load, desk_space, desk_dispatch, monkeypatch):
+    cache = SimulationCache(desk_space, desk_load, desk_dispatch)
+    computed = []
+
+    def counting_unused_ratio(outcome, der_index, capacity):
+        computed.append(der_index)
+        return unused_ratio(outcome, der_index, capacity)
+
+    monkeypatch.setattr(simulator, "unused_ratio", counting_unused_ratio)
+    design = MicrogridDesign((90.0, 106.0, 176.0))
+    first = memoized_operate(cache, desk_space, design, desk_load, desk_dispatch)
+    assert sorted(computed) == [0, 1, 2]
+    computed.clear()
+    second = memoized_operate(cache, desk_space, design.with_capacity(0, 45.0), desk_load, desk_dispatch)
+    assert computed == [0]  # the solar and battery ratios come from the table
+    assert second.unused_ratios[1:] == first.unused_ratios[1:]
+    assert (cache.unique_simulations, cache.dispatch_runs, len(cache._non_diesel_ratios)) == (2, 1, 1)
+
+
 def test_discharge_capability_zero_capacity():
     spec = DerSpec(name="b", kind=DerKind.BATTERY_STORAGE, upper_bound=10.0, charge_ratio=2.0, discharge_ratio=2.0)
     state = initial_bess_state(spec, 0.0, DispatchConfig())
@@ -616,3 +647,76 @@ def test_operate_with_memo_bitwise_equals_without(monkeypatch):
             assert cache.dispatch_runs > expected_runs  # evicted vectors ran again
         else:
             assert cache.dispatch_runs == expected_runs
+
+
+@st.composite
+def reuse_cases(draw):
+    """(space, load, config, designs): a few non-diesel vectors, each met at several diesel levels.
+
+    Spaces have 0-2 PV, optional wind, 0-2 batteries and 1-2 diesels.
+    Battery capacities include 0.0 and -0.0, which the pre-diesel memo keys
+    apart.
+    """
+    bound = st.floats(20.0, 400.0)
+    ratio = st.sampled_from([0.25, 0.5, 2.0]) | st.floats(0.1, 8.0)
+    ders = [DerSpec(f"pv{k}", DerKind.PHOTOVOLTAIC, upper_bound=draw(bound)) for k in range(draw(st.integers(0, 2)))]
+    if draw(st.booleans()):
+        ders.append(DerSpec("wind", DerKind.WIND_TURBINE, upper_bound=draw(bound)))
+    for k in range(draw(st.integers(0, 2))):
+        ders.append(
+            DerSpec(
+                f"bess{k}", DerKind.BATTERY_STORAGE, upper_bound=draw(bound),
+                charge_ratio=draw(ratio), discharge_ratio=draw(ratio),
+            )
+        )
+    for k in range(draw(st.integers(1, 2))):
+        ders.append(DerSpec(f"diesel{k}", DerKind.DIESEL_GENERATOR, upper_bound=draw(bound)))
+    space = DesignSpace(ders=tuple(draw(st.permutations(ders))))
+
+    n_steps = draw(st.integers(1, 96))
+    durations = [draw(st.sampled_from([900.0, 1800.0, 3600.0])) for _ in range(n_steps)]
+    demand = segments(draw, st.sampled_from([0.0, 60.0, 250.0]) | st.floats(0.0, 300.0), n_steps)
+    start = datetime(2024, 6, 1, draw(st.integers(0, 23)))
+    times = tuple(start + timedelta(seconds=sum(durations[:t])) for t in range(n_steps))
+    load = LoadProfile(times=times, durations_s=tuple(durations), demand_kw=tuple(demand))
+    config = DispatchConfig(wind_capacity_factor=draw(st.floats(0.0, 1.0)), bess_min_soc=draw(st.floats(0.0, 0.5)))
+
+    def capacity(spec):
+        return draw(st.sampled_from([0.0, -0.0, spec.upper_bound]) | st.floats(0.0, spec.upper_bound))
+
+    diesels = [i for i, d in enumerate(space.ders) if d.kind is DerKind.DIESEL_GENERATOR]
+    vectors = [
+        [capacity(d) for d in space.ders] for _ in range(draw(st.integers(1, 4)))
+    ]
+    designs = []
+    for _ in range(draw(st.integers(2, 14))):
+        caps = list(draw(st.sampled_from(vectors)))
+        for i in diesels:
+            caps[i] = capacity(space.ders[i])
+        designs.append(MicrogridDesign(tuple(caps)))
+    return space, load, config, designs
+
+
+@settings(max_examples=120, derandomize=True, deadline=None, database=None)
+@given(reuse_cases(), st.integers(1, 3))
+def test_memoized_reuse_equals_cache_free_metrics_property(case, memo_entries):
+    space, load, config, designs = case
+    first: dict[tuple[float, ...], MicrogridDesign] = {}
+    # a budget of about `memo_entries` entries, so revisited vectors meet evicted ones
+    budget = memo_entries * len(space.ders) * len(load)
+    with mock.patch.object(simulator, "PRE_DIESEL_MEMO_FLOATS", budget):
+        cache = SimulationCache(space, load, config)
+        for design in designs:
+            got = memoized_operate(cache, space, design, load, config)
+            # a design the cache has met under an equal key returns that first design
+            design = first.setdefault(SimulationCache.key_for(design), design)
+            outcome = operate(space, design, load, config)
+            want = EvaluatedDesign(
+                design=design,
+                deficit_ratio=deficit_ratio(outcome, load),
+                unused_ratios=tuple(unused_ratio(outcome, i, c) for i, c in enumerate(design.capacities)),
+            )
+            assert repr(got) == repr(want)
+    non_diesel = {cache.non_diesel_key(d.capacities) for d in first.values()}
+    assert set(cache._non_diesel_ratios) == non_diesel
+    assert len(cache._non_diesel_ratios) <= cache.unique_simulations == len(first)
