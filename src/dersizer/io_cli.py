@@ -234,6 +234,19 @@ def _require_keys(data: dict, allowed: set[str], context: str) -> None:
         raise ValueError(f"{context}: unknown keys {sorted(unknown)}")
 
 
+def _number(data: dict, key: str, context: str, default: float | None = None) -> float | None:
+    """`data[key]` as a float, or `default` when it is absent or null; only JSON numbers pass."""
+    value = data.get(key)
+    if value is None:
+        return default
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{context}: {key} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        raise ValueError(f"{context}: {key} must be finite") from None
+
+
 def _parse_der_entry(data: dict, index: int) -> DerConfigEntry:
     context = f"ders[{index}]"
     if not isinstance(data, dict):
@@ -250,19 +263,19 @@ def _parse_der_entry(data: dict, index: int) -> DerConfigEntry:
         raise ValueError(
             f"{context}: unknown kind {data['kind']!r}; expected one of {sorted(_KIND_BY_NAME)}"
         )
-    if data.get("upper_bound") is not None and data.get("peak_multiplier") is not None:
+    upper, multiplier = _number(data, "upper_bound", context), _number(data, "peak_multiplier", context)
+    if upper is not None and multiplier is not None:
         raise ValueError(f"{context}: give upper_bound or peak_multiplier, not both")
-    multiplier = data.get("peak_multiplier")
-    if multiplier is not None and not math.isfinite(float(multiplier)):
+    if multiplier is not None and not math.isfinite(multiplier):
         raise ValueError(f"{context} ({data['name']}): peak_multiplier must be finite, got {multiplier}")
     return DerConfigEntry(
         name=str(data["name"]),
         kind=_KIND_BY_NAME[kind_raw],
-        lower_bound=float(data.get("lower_bound", 0.0)),
-        upper_bound=None if data.get("upper_bound") is None else float(data["upper_bound"]),
-        peak_multiplier=None if data.get("peak_multiplier") is None else float(data["peak_multiplier"]),
-        charge_ratio=None if data.get("charge_ratio") is None else float(data["charge_ratio"]),
-        discharge_ratio=None if data.get("discharge_ratio") is None else float(data["discharge_ratio"]),
+        lower_bound=_number(data, "lower_bound", context, 0.0),
+        upper_bound=upper,
+        peak_multiplier=multiplier,
+        charge_ratio=_number(data, "charge_ratio", context),
+        discharge_ratio=_number(data, "discharge_ratio", context),
     )
 
 
@@ -293,9 +306,10 @@ def parse_config(text: str, base_dir: str = ".") -> PipelineConfigFile:
     except (TypeError, ValueError) as exc:
         raise ValueError(f"config.search: {exc}") from None
 
-    dispatch_raw = dict(data.get("dispatch", {}))
+    dispatch_raw = data.get("dispatch", {})
     if not isinstance(dispatch_raw, dict):
         raise ValueError("config: dispatch must be an object")
+    dispatch_raw = dict(dispatch_raw)
     wind_series_path = dispatch_raw.pop("wind_series_path", None)
     allowed_dispatch = {f.name for f in dataclasses.fields(DispatchConfig)}
     _require_keys(dispatch_raw, allowed_dispatch, "config.dispatch")
@@ -305,10 +319,7 @@ def parse_config(text: str, base_dir: str = ".") -> PipelineConfigFile:
     load_path = data.get("load_path")
     if not load_path:
         raise ValueError("config: load_path is required")
-    precision = data.get("capacity_precision", DEFAULT_CAPACITY_PRECISION)
-    if isinstance(precision, bool) or not isinstance(precision, (int, float)):
-        raise ValueError(f"config: capacity_precision must be a number, got {precision!r}")
-    precision = float(precision)
+    precision = _number(data, "capacity_precision", "config", DEFAULT_CAPACITY_PRECISION)
     if not math.isfinite(precision):
         raise ValueError(f"config: capacity_precision must be finite, got {precision}")
     if precision < 0:
@@ -587,7 +598,7 @@ def _cmd_exhaustive(args: argparse.Namespace) -> int:
     config = _apply_overrides(load_config_file(args.config), args)
     out_path = _resolve_output(config, args)
     load, space, dispatch = load_inputs(config)
-    levels = config.search.fine_level_points if args.levels is None else args.levels
+    levels = config.search.fine_level_points
     started = time.perf_counter()
     cache = SimulationCache(space, load, dispatch)
     simulated = exhaustive_search(

@@ -16,6 +16,7 @@ import math
 import numbers
 import random
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .core import (
@@ -36,6 +37,9 @@ log = logging.getLogger(__name__)
 
 # Refuse exhaustive enumerations larger than this many candidates.
 PRODUCT_SAFETY_CAP = 10**8
+
+# A stage's view of the cache: one design in, its metrics out.
+Evaluate = Callable[[MicrogridDesign], EvaluatedDesign]
 
 
 class SearchSpaceTooLarge(RuntimeError):
@@ -109,7 +113,6 @@ def exhaustive_search(
     dispatch_config: DispatchConfig,
     level_points: int,
     precision: float = DEFAULT_CAPACITY_PRECISION,
-    safety_cap: int = PRODUCT_SAFETY_CAP,
 ) -> list[EvaluatedDesign]:
     """Enumerate the full capacity grid, skipping provably deficient designs.
 
@@ -124,9 +127,9 @@ def exhaustive_search(
     """
     grids = build_grids(space, level_points, precision)
     total = grid_size(space, level_points, precision)
-    if total > safety_cap:
+    if total > PRODUCT_SAFETY_CAP:
         raise SearchSpaceTooLarge(
-            f"exhaustive enumeration of {total} candidates exceeds the cap of {safety_cap}"
+            f"exhaustive enumeration of {total} candidates exceeds the cap of {PRODUCT_SAFETY_CAP}"
         )
 
     n_ders = len(space.ders)
@@ -159,86 +162,78 @@ def exhaustive_search(
     return [evaluated for _, evaluated in simulated]
 
 
+def _evaluator(cache: SimulationCache) -> Evaluate:
+    """Evaluate a design on the cache's own input, looking `memoized_operate` up at each call."""
+    space, load, config = cache.space, cache.load, cache.config
+    return lambda design: memoized_operate(cache, space, design, load, config)
+
+
+def _walk(
+    evaluate: Evaluate, current: EvaluatedDesign, i: int, grid: CapacityGrid, h: int, out: list[EvaluatedDesign]
+) -> tuple[EvaluatedDesign, bool]:
+    """Move DER `i` by `h` grid steps (down when h < 0) while the deficit does not grow.
+
+    Appends every design evaluated to `out`. Returns the last design moved
+    to, and whether a capacity bound (rather than a growing deficit) stopped
+    the walk.
+    """
+    while True:
+        cap = current.capacities[i]
+        target = grid.snap(cap + h * grid.spacing)  # snap clamps to the bounds
+        if target == cap:
+            return current, True
+        evaluated = evaluate(current.design.with_capacity(i, target))
+        out.append(evaluated)
+        if evaluated.deficit_ratio > current.deficit_ratio:
+            return current, False
+        current = evaluated
+
+
 def _binary_search_one_seed(
-    cache: SimulationCache,
-    space: DesignSpace,
-    load: LoadProfile,
-    dispatch_config: DispatchConfig,
-    grids: tuple[CapacityGrid, ...],
-    seed_design: EvaluatedDesign,
-    child_seed: int,
-    passes: int,
+    evaluate: Evaluate, grids: tuple[CapacityGrid, ...], seed: EvaluatedDesign, child_seed: int, passes: int
 ) -> list[EvaluatedDesign]:
     """Halving search around one seed; returns every design it evaluated."""
-    n_ders = len(space.ders)
     rng = random.Random(child_seed)
-    out: list[EvaluatedDesign] = []
-
-    snapped = snap_to_grid(seed_design.design, grids)
-    base = memoized_operate(cache, space, snapped, load, dispatch_config)
-    out.append(base)
-
+    base = evaluate(snap_to_grid(seed.design, grids))
+    out = [base]
     for _ in range(passes):
         # each pass restarts from the snapped seed with a fresh DER order,
         # exploring a different branch of the neighborhood
         decrease = base.deficit_ratio == 0
         current = base
-        order = list(range(n_ders))
+        order = list(range(len(grids)))
         rng.shuffle(order)
         for i in order:
-            spec = space.ders[i]
-            grid = grids[i]
-            h = initial_step_size(grid.n_intervals)
+            h = initial_step_size(grids[i].n_intervals)
             while h >= 1:
-                while True:
-                    cap = current.capacities[i]
-                    if decrease:
-                        target = max(cap - h * grid.spacing, spec.lower_bound)
-                    else:
-                        target = min(cap + h * grid.spacing, spec.upper_bound)
-                    target = grid.snap(target)
-                    if target == cap:
-                        # bound reached; a feasible design at the top turns
-                        # the search back downward
-                        if not decrease and current.deficit_ratio == 0:
-                            decrease = True
-                        break
-                    candidate = current.design.with_capacity(i, target)
-                    evaluated = memoized_operate(cache, space, candidate, load, dispatch_config)
-                    out.append(evaluated)
-                    if evaluated.deficit_ratio > current.deficit_ratio:
-                        break
-                    current = evaluated
+                current, bounded = _walk(evaluate, current, i, grids[i], -h if decrease else h, out)
+                # a feasible design at the top bound turns the search back downward
+                if bounded and not decrease and current.deficit_ratio == 0:
+                    decrease = True
                 h //= 2
     return out
 
 
 def binary_search_refine(
     cache: SimulationCache,
-    space: DesignSpace,
-    load: LoadProfile,
-    dispatch_config: DispatchConfig,
-    level_points: int,
+    grids: tuple[CapacityGrid, ...],
     seeds: list[EvaluatedDesign],
     rng: random.Random,
-    outer_passes: int | None = None,
-    precision: float = DEFAULT_CAPACITY_PRECISION,
+    passes: int,
 ) -> list[EvaluatedDesign]:
-    """Diversify a seed set by per-DER halving searches on the fine grid.
+    """Diversify a seed set by per-DER halving searches on the fine `grids`.
 
-    Each seed is snapped to the fine grid, then searched in `outer_passes`
-    rounds (default: one per DER) over rng-ordered DERs: capacity moves in
-    halving steps, downward while no deficit appears, upward until one
-    disappears. Returns the seeds plus every design simulated, first
-    occurrence kept on duplicates.
+    Each seed is snapped to the grids, then searched in `passes` rounds
+    over rng-ordered DERs: each DER walks in halving steps, downward while
+    no deficit appears, upward until one disappears. Returns the seeds plus
+    every design simulated, first occurrence kept on duplicates.
     """
     if not seeds:
         raise ValueError("binary search needs a non-empty seed set")
-    grids = build_grids(space, level_points, precision)
-    passes = outer_passes if outer_passes is not None else len(space.ders)
+    evaluate = _evaluator(cache)
     child_seeds = [rng.getrandbits(64) for _ in seeds]
     trajectories = [
-        _binary_search_one_seed(cache, space, load, dispatch_config, grids, seed_design, child, passes)
+        _binary_search_one_seed(evaluate, grids, seed_design, child, passes)
         for seed_design, child in zip(seeds, child_seeds)
     ]
     return _first_occurrences(seeds, trajectories)
@@ -247,70 +242,41 @@ def binary_search_refine(
 def _first_occurrences(
     seeds: list[EvaluatedDesign], trajectories: list[list[EvaluatedDesign]]
 ) -> list[EvaluatedDesign]:
-    """The seeds, then each seed's trajectory in seed order, first occurrence kept."""
+    """The seeds, then each seed's trajectory in seed order, first occurrence kept.
+
+    Duplicates are equal capacity vectors: the cache hands out one object
+    per design key, so among cached designs equal keys mean equal capacities.
+    """
     merged: dict[tuple[float, ...], EvaluatedDesign] = {}
     for evaluated in itertools.chain(seeds, *trajectories):
-        merged.setdefault(SimulationCache.key_for(evaluated.design), evaluated)
+        merged.setdefault(evaluated.capacities, evaluated)
     return list(merged.values())
-
-
-def _local_search_one_seed(
-    cache: SimulationCache,
-    space: DesignSpace,
-    load: LoadProfile,
-    dispatch_config: DispatchConfig,
-    grids: tuple[CapacityGrid, ...],
-    seed_design: EvaluatedDesign,
-    passes: int,
-) -> list[EvaluatedDesign]:
-    """Single-level descent from one seed; returns every design evaluated."""
-    base = memoized_operate(cache, space, seed_design.design, load, dispatch_config)
-    out = [base]
-    if base.deficit_ratio > 0:
-        return out
-
-    current = base
-    n_ders = len(space.ders)
-    for _ in range(passes):
-        for i in range(n_ders):
-            spec = space.ders[i]
-            grid = grids[i]
-            while True:
-                cap = current.capacities[i]
-                target = grid.snap(max(cap - grid.spacing, spec.lower_bound))
-                if target == cap:
-                    break
-                candidate = current.design.with_capacity(i, target)
-                evaluated = memoized_operate(cache, space, candidate, load, dispatch_config)
-                out.append(evaluated)
-                if evaluated.deficit_ratio > 0:
-                    break
-                current = evaluated
-    return out
 
 
 def local_search(
     cache: SimulationCache,
-    space: DesignSpace,
-    load: LoadProfile,
-    dispatch_config: DispatchConfig,
-    level_points: int,
+    grids: tuple[CapacityGrid, ...],
     seeds: list[EvaluatedDesign],
-    outer_passes: int | None = None,
-    precision: float = DEFAULT_CAPACITY_PRECISION,
+    passes: int,
 ) -> list[EvaluatedDesign]:
-    """Walk each zero-deficit seed downward one grid level at a time.
+    """Walk each zero-deficit seed downward one grid step at a time.
 
-    DERs are lowered in fixed index order, repeating for `outer_passes`
-    rounds so slack opened by one DER's descent can be recovered from the
-    ones before it. Seeds with deficits pass through untouched.
+    The same walk as the binary search's, with a unit step and downward
+    only, so it stops at the first deficit. DERs are lowered in fixed index
+    order, repeating for `passes` rounds so slack opened by one DER's
+    descent can be recovered from the ones before it. Seeds with deficits
+    pass through untouched.
     """
-    grids = build_grids(space, level_points, precision)
-    passes = outer_passes if outer_passes is not None else len(space.ders)
-    trajectories = [
-        _local_search_one_seed(cache, space, load, dispatch_config, grids, seed_design, passes)
-        for seed_design in seeds
-    ]
+    evaluate = _evaluator(cache)
+    trajectories = []
+    for seed_design in seeds:
+        current = evaluate(seed_design.design)
+        out = [current]
+        trajectories.append(out)
+        if current.deficit_ratio == 0:
+            for _ in range(passes):
+                for i, grid in enumerate(grids):
+                    current, _ = _walk(evaluate, current, i, grid, -1, out)
     return _first_occurrences(seeds, trajectories)
 
 
@@ -359,18 +325,10 @@ def run_pipeline(
         stage["dispatch_runs"],
     )
 
+    fine = build_grids(space, search_config.fine_level_points, precision)
+    passes = len(space.ders) if search_config.outer_passes is None else search_config.outer_passes
     rng = random.Random(search_config.rng_seed)
-    refined = binary_search_refine(
-        cache,
-        space,
-        load,
-        dispatch_config,
-        search_config.fine_level_points,
-        coarse,
-        rng,
-        search_config.outer_passes,
-        precision,
-    )
+    refined = binary_search_refine(cache, fine, coarse, rng, passes)
     stage = counts["binary_search"] = stage_counts(cache, counts, len(refined))
     log.info(
         "binary search stage: %d new simulations, %d designs held, %d dispatch runs",
@@ -380,16 +338,7 @@ def run_pipeline(
     )
 
     local_seeds = non_dominated(refined)
-    polished = local_search(
-        cache,
-        space,
-        load,
-        dispatch_config,
-        search_config.fine_level_points,
-        local_seeds,
-        search_config.outer_passes,
-        precision,
-    )
+    polished = local_search(cache, fine, local_seeds, passes)
     stage = counts["local_search"] = stage_counts(cache, counts, len(polished))
     log.info(
         "local search stage: %d new simulations over %d seeds, %d dispatch runs",

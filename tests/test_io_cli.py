@@ -502,6 +502,44 @@ def test_cli_non_numeric_search_inputs_exit_2(desk_cli_dir, capsys, field, value
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("dispatch", 5, "config: dispatch must be an object"),
+        ("dispatch", "abc", "config: dispatch must be an object"),
+        ("dispatch", [["pv_peak_factor", 0.5]], "config: dispatch must be an object"),
+        ("upper_bound", [1], "ders[0]: upper_bound must be a number, got [1]"),
+        ("upper_bound", True, "ders[0]: upper_bound must be a number, got True"),
+        ("upper_bound", "100", "ders[0]: upper_bound must be a number, got '100'"),
+        ("lower_bound", "0", "ders[0]: lower_bound must be a number, got '0'"),
+        ("peak_multiplier", "1", "ders[0]: peak_multiplier must be a number, got '1'"),
+        pytest.param("upper_bound", 10**400, "ders[0]: upper_bound must be finite", id="huge-int"),
+    ],
+)
+def test_cli_config_type_errors_exit_2_and_name_the_field(desk_cli_dir, capsys, field, value, message):
+    doc = json.loads((desk_cli_dir / "config.json").read_text())
+    (doc if field == "dispatch" else doc["ders"][0])[field] = value
+    bad = desk_cli_dir / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    out = desk_cli_dir / "x.csv"
+    assert run_cli("size", "--config", str(bad), "--out", str(out)) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_null_der_number_counts_as_absent(desk_cli_dir):
+    config = desk_cli_dir / "config.json"
+    doc = json.loads(config.read_text())
+    doc["ders"][0].update(lower_bound=None, upper_bound=None)
+    doc["capacity_precision"] = None
+    nulls = desk_cli_dir / "nulls.json"
+    nulls.write_text(json.dumps(doc), encoding="utf-8")
+    out_plain, out_nulls = desk_cli_dir / "plain.csv", desk_cli_dir / "nulls.csv"
+    assert run_cli("exhaustive", "--config", str(config), "--levels", "6", "--out", str(out_plain)) == 0
+    assert run_cli("exhaustive", "--config", str(nulls), "--levels", "6", "--out", str(out_nulls)) == 0
+    assert out_nulls.read_bytes() == out_plain.read_bytes()
+
+
 def test_cli_empty_daylight_window_exits_2(desk_cli_dir, capsys):
     # rejected with the dispatch config, before the safety cap is consulted
     doc = json.loads((desk_cli_dir / "config.json").read_text())

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from dersizer import simulator
+from dersizer import search, simulator
 from dersizer.core import DerKind, DerSpec, DesignSpace, MicrogridDesign, dominates
 from dersizer.search import (
     SearchConfig,
@@ -140,7 +140,8 @@ def test_exhaustive_diesel_innermost_matches_plain_order_with_fewer_runs(
     assert cache.dispatch_runs < plain_cache.dispatch_runs
 
 
-def test_exhaustive_refuses_oversized_product(diesel_space):
+def test_exhaustive_refuses_oversized_product(diesel_space, monkeypatch):
+    monkeypatch.setattr(search, "PRODUCT_SAFETY_CAP", 10)
     two = DesignSpace(
         ders=(
             diesel_space.ders[0],
@@ -149,7 +150,7 @@ def test_exhaustive_refuses_oversized_product(diesel_space):
     )
     load, config = constant_load(0.0), DispatchConfig()
     with pytest.raises(SearchSpaceTooLarge):
-        exhaustive_search(SimulationCache(two, load, config), two, load, config, 6, safety_cap=10)
+        exhaustive_search(SimulationCache(two, load, config), two, load, config, 6)
 
 
 # ---------------------------------------------------------------------------
@@ -161,9 +162,7 @@ def test_binary_search_descends_to_minimal_feasible(diesel_space):
     load = constant_load(55.0)
     cache = SimulationCache(diesel_space, load, DispatchConfig())
     seed = memoized_operate(cache, diesel_space, MicrogridDesign((100.0,)), load, DispatchConfig())
-    out = binary_search_refine(
-        cache, diesel_space, load, DispatchConfig(), 11, [seed], random.Random(0)
-    )
+    out = binary_search_refine(cache, build_grids(diesel_space, 11), [seed], random.Random(0), 1)
     assert caps_of(out) == [(20.0,), (40.0,), (50.0,), (60.0,), (100.0,)]
     assert cache.unique_simulations == 5
     zero = [d for d in out if d.deficit_ratio == 0]
@@ -176,9 +175,7 @@ def test_binary_search_flips_direction_at_upper_bound(diesel_space):
     load = constant_load(55.0)
     cache = SimulationCache(diesel_space, load, DispatchConfig())
     seed = memoized_operate(cache, diesel_space, MicrogridDesign((0.0,)), load, DispatchConfig())
-    out = binary_search_refine(
-        cache, diesel_space, load, DispatchConfig(), 11, [seed], random.Random(0)
-    )
+    out = binary_search_refine(cache, build_grids(diesel_space, 11), [seed], random.Random(0), 1)
     assert caps_of(out) == [(0.0,), (20.0,), (40.0,), (50.0,), (60.0,), (80.0,), (100.0,)]
     assert cache.unique_simulations == 7
     zero = [d for d in out if d.deficit_ratio == 0]
@@ -189,9 +186,7 @@ def test_binary_search_feasible_lower_bound_stays_put(diesel_space):
     load = constant_load(0.0)
     cache = SimulationCache(diesel_space, load, DispatchConfig())
     seed = memoized_operate(cache, diesel_space, MicrogridDesign((0.0,)), load, DispatchConfig())
-    out = binary_search_refine(
-        cache, diesel_space, load, DispatchConfig(), 11, [seed], random.Random(0)
-    )
+    out = binary_search_refine(cache, build_grids(diesel_space, 11), [seed], random.Random(0), 1)
     assert caps_of(out) == [(0.0,)]
     assert cache.unique_simulations == 1
 
@@ -200,9 +195,7 @@ def test_binary_search_snaps_offgrid_seeds(diesel_space):
     load = constant_load(55.0)
     cache = SimulationCache(diesel_space, load, DispatchConfig())
     seed = memoized_operate(cache, diesel_space, MicrogridDesign((94.0,)), load, DispatchConfig())
-    out = binary_search_refine(
-        cache, diesel_space, load, DispatchConfig(), 11, [seed], random.Random(0)
-    )
+    out = binary_search_refine(cache, build_grids(diesel_space, 11), [seed], random.Random(0), 1)
     keys = {d.capacities for d in out}
     assert (90.0,) in keys  # 94 snapped down to the nearest fine point
     assert (94.0,) in keys  # the original seed is part of the returned set
@@ -213,12 +206,10 @@ def test_binary_search_requires_seeds(diesel_space):
     with pytest.raises(ValueError):
         binary_search_refine(
             SimulationCache(diesel_space, load, DispatchConfig()),
-            diesel_space,
-            load,
-            DispatchConfig(),
-            11,
+            build_grids(diesel_space, 11),
             [],
             random.Random(0),
+            1,
         )
 
 
@@ -226,9 +217,7 @@ def test_binary_search_deterministic_for_fixed_rng(desk_load, desk_space, desk_d
     def run():
         cache = SimulationCache(desk_space, desk_load, desk_dispatch)
         seeds = exhaustive_search(cache, desk_space, desk_load, desk_dispatch, 6)
-        out = binary_search_refine(
-            cache, desk_space, desk_load, desk_dispatch, 11, seeds, random.Random(99)
-        )
+        out = binary_search_refine(cache, build_grids(desk_space, 11), seeds, random.Random(99), 3)
         return [d.capacities for d in out], cache.unique_simulations
 
     first = run()
@@ -243,7 +232,7 @@ def test_local_search_descends_single_levels(diesel_space):
     load = constant_load(50.0)
     cache = SimulationCache(diesel_space, load, DispatchConfig())
     seed = memoized_operate(cache, diesel_space, MicrogridDesign((100.0,)), load, DispatchConfig())
-    out = local_search(cache, diesel_space, load, DispatchConfig(), 6, [seed])
+    out = local_search(cache, build_grids(diesel_space, 6), [seed], 1)
     assert caps_of(out) == [(40.0,), (60.0,), (80.0,), (100.0,)]
     assert cache.unique_simulations == 4
     zero = [d for d in out if d.deficit_ratio == 0]
@@ -254,7 +243,7 @@ def test_local_search_skips_deficit_seeds(diesel_space):
     load = constant_load(150.0)
     cache = SimulationCache(diesel_space, load, DispatchConfig())
     seed = memoized_operate(cache, diesel_space, MicrogridDesign((100.0,)), load, DispatchConfig())
-    out = local_search(cache, diesel_space, load, DispatchConfig(), 6, [seed])
+    out = local_search(cache, build_grids(diesel_space, 6), [seed], 1)
     assert caps_of(out) == [(100.0,)]
     assert cache.unique_simulations == 1
 
@@ -263,7 +252,7 @@ def test_local_search_lower_bound_seed_generates_nothing(diesel_space):
     load = constant_load(0.0)
     cache = SimulationCache(diesel_space, load, DispatchConfig())
     seed = memoized_operate(cache, diesel_space, MicrogridDesign((0.0,)), load, DispatchConfig())
-    out = local_search(cache, diesel_space, load, DispatchConfig(), 6, [seed])
+    out = local_search(cache, build_grids(diesel_space, 6), [seed], 1)
     assert caps_of(out) == [(0.0,)]
     assert cache.unique_simulations == 1
 
@@ -276,7 +265,7 @@ def test_local_search_second_pass_recovers_cross_der_slack(desk_load, desk_space
     grids = build_grids(desk_space, 11)
     start = MicrogridDesign(tuple(g.points[-1] for g in grids))
     seed = memoized_operate(cache, desk_space, start, desk_load, desk_dispatch)
-    out = local_search(cache, desk_space, desk_load, desk_dispatch, 11, [seed])
+    out = local_search(cache, grids, [seed], 3)
     finals = [d for d in out if d.deficit_ratio == 0]
     best = min(finals, key=lambda d: sum(d.capacities))
     for i, grid in enumerate(grids):
