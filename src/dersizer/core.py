@@ -144,8 +144,6 @@ class LoadProfile:
             raise ValueError("durations must be > 0")
         if any(p < 0 for p in self.demand_kw):
             raise ValueError("demand must be >= 0")
-        if sum(self.durations_s) <= 0:
-            raise ValueError("total duration must be > 0")
 
     def __len__(self) -> int:
         return len(self.times)
@@ -165,10 +163,6 @@ class LoadProfile:
     @property
     def peak_kw(self) -> float:
         return max(self.demand_kw)
-
-    @property
-    def total_seconds(self) -> float:
-        return sum(self.durations_s)
 
 
 @dataclass(frozen=True)
@@ -304,26 +298,6 @@ def unused_ratio(outcome: SimulationOutcome, der_index: int, capacity: float) ->
         return -1.0
     mask &= outcome.per_der_used[der_index] < available - EPS_POWER
     return int(np.count_nonzero(mask)) / n_available
-
-
-def dominates(a: EvaluatedDesign, b: EvaluatedDesign) -> bool:
-    """True when a performs at least as well as b with no more capacity anywhere.
-
-    Requires at least one strict inequality, so identical entries never
-    dominate each other.
-    """
-    ca, cb = a.capacities, b.capacities
-    if len(ca) != len(cb):
-        raise ValueError(f"capacity vectors differ in length: {len(ca)} vs {len(cb)}")
-    if a.deficit_ratio > b.deficit_ratio:
-        return False
-    strict = a.deficit_ratio < b.deficit_ratio
-    for x, y in zip(ca, cb):
-        if x > y:
-            return False
-        if x < y:
-            strict = True
-    return strict
 
 
 def non_dominated(designs: list[EvaluatedDesign]) -> list[EvaluatedDesign]:

@@ -21,6 +21,7 @@ import re
 import sys
 import tempfile
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 from datetime import datetime
 
@@ -41,6 +42,7 @@ from .search import (
     exhaustive_search,
     grid_size,
     run_pipeline,
+    search_report,
     stage_counts,
 )
 from .simulator import DispatchConfig, SimulationCache, memoized_operate
@@ -74,39 +76,56 @@ def _parse_timestamp(raw: str, line_no: int) -> datetime:
         raise ParseError(f"line {line_no}: invalid ISO 8601 timestamp {raw!r}") from None
 
 
-def _csv_rows(text: str, expected_header: list[str], what: str):
-    reader = csv.reader(io.StringIO(text))
-    rows = []
+def _parse_series(
+    text: str, column: str, what: str, label: str, complaint: Callable[[float, str], str | None]
+) -> tuple[tuple[datetime, ...], tuple[float, ...]]:
+    """Parse a `datetime,<column>` CSV into its timestamps and numbers, reporting the first faulty line.
+
+    Blank lines are skipped and timestamps must be strictly increasing. `label` names a value that is
+    not a number; `complaint(value, raw)` says what is wrong with a number, or None.
+    """
+    expected = ["datetime", column]
     header_seen = False
-    for line_no, row in enumerate(reader, start=1):
+    times: list[datetime] = []
+    values: list[float] = []
+    for line_no, row in enumerate(csv.reader(io.StringIO(text)), start=1):
         if not row or all(not cell.strip() for cell in row):
             continue
         if not header_seen:
-            cells = [c.strip().lower() for c in row]
-            if cells != expected_header:
+            if [c.strip().lower() for c in row] != expected:
                 raise ParseError(
-                    f"line {line_no}: {what} header must be {','.join(expected_header)!r}, got {','.join(row)!r}"
+                    f"line {line_no}: {what} header must be {','.join(expected)!r}, got {','.join(row)!r}"
                 )
             header_seen = True
             continue
-        if len(row) != len(expected_header):
-            raise ParseError(f"line {line_no}: expected {len(expected_header)} fields, got {len(row)}")
-        rows.append((line_no, row))
+        if len(row) != len(expected):
+            raise ParseError(f"line {line_no}: expected {len(expected)} fields, got {len(row)}")
+        raw_time, raw_value = row
+        stamp = _parse_timestamp(raw_time, line_no)
+        try:
+            value = float(raw_value)
+        except ValueError:
+            raise ParseError(f"line {line_no}: invalid {label} {raw_value!r}") from None
+        problem = complaint(value, raw_value)
+        if problem is not None:
+            raise ParseError(f"line {line_no}: {problem}")
+        try:
+            increasing = not times or stamp > times[-1]
+        except TypeError:
+            raise ParseError(f"line {line_no}: {what} mixes timezone-aware and naive timestamps") from None
+        if not increasing:
+            raise ParseError(f"line {line_no}: {what} timestamps must be strictly increasing")
+        times.append(stamp)
+        values.append(value)
     if not header_seen:
         raise ParseError(f"line 1: empty {what} file")
-    return rows
+    return tuple(times), tuple(values)
 
 
-def _check_increasing(times: list[datetime], line_nos: list[int], what: str) -> None:
-    for k in range(1, len(times)):
-        try:
-            ok = times[k] > times[k - 1]
-        except TypeError:
-            raise ParseError(
-                f"line {line_nos[k]}: {what} mixes timezone-aware and naive timestamps"
-            ) from None
-        if not ok:
-            raise ParseError(f"line {line_nos[k]}: {what} timestamps must be strictly increasing")
+def _load_complaint(kw: float, raw: str) -> str | None:
+    if not math.isfinite(kw):
+        return f"load must be finite, got {raw!r}"
+    return f"negative load {kw}" if kw < 0 else None
 
 
 def parse_load_profile(text: str) -> LoadProfile:
@@ -116,54 +135,26 @@ def parse_load_profile(text: str) -> LoadProfile:
     final interval inherits the preceding duration, so at least two rows
     are required.
     """
-    rows = _csv_rows(text, ["datetime", "load_kw"], "load profile")
-    if len(rows) < 2:
+    times, demand = _parse_series(text, "load_kw", "load profile", "load value", _load_complaint)
+    if len(times) < 2:
         raise ParseError("load profile needs at least 2 data rows")
-    times: list[datetime] = []
-    demand: list[float] = []
-    line_nos: list[int] = []
-    for line_no, (raw_time, raw_load) in rows:
-        stamp = _parse_timestamp(raw_time, line_no)
-        try:
-            kw = float(raw_load)
-        except ValueError:
-            raise ParseError(f"line {line_no}: invalid load value {raw_load!r}") from None
-        if not math.isfinite(kw):
-            raise ParseError(f"line {line_no}: load must be finite, got {raw_load!r}")
-        if kw < 0:
-            raise ParseError(f"line {line_no}: negative load {kw}")
-        times.append(stamp)
-        demand.append(kw)
-        line_nos.append(line_no)
-    _check_increasing(times, line_nos, "load profile")
     durations = [
         (times[k + 1] - times[k]).total_seconds() for k in range(len(times) - 1)
     ]
     durations.append(durations[-1])
-    return LoadProfile(times=tuple(times), durations_s=tuple(durations), demand_kw=tuple(demand))
+    return LoadProfile(times=times, durations_s=tuple(durations), demand_kw=demand)
+
+
+def _factor_complaint(factor: float, raw: str) -> str | None:
+    return None if 0.0 <= factor <= 1.0 else f"capacity factor {factor} outside [0, 1]"
 
 
 def parse_wind_series(text: str) -> tuple[tuple[datetime, ...], tuple[float, ...]]:
     """Parse a `datetime,capacity_factor` CSV; factors must lie in [0, 1]."""
-    rows = _csv_rows(text, ["datetime", "capacity_factor"], "wind series")
-    if not rows:
+    times, factors = _parse_series(text, "capacity_factor", "wind series", "capacity factor", _factor_complaint)
+    if not times:
         raise ParseError("wind series has no data rows")
-    times: list[datetime] = []
-    factors: list[float] = []
-    line_nos: list[int] = []
-    for line_no, (raw_time, raw_factor) in rows:
-        stamp = _parse_timestamp(raw_time, line_no)
-        try:
-            factor = float(raw_factor)
-        except ValueError:
-            raise ParseError(f"line {line_no}: invalid capacity factor {raw_factor!r}") from None
-        if not 0.0 <= factor <= 1.0:
-            raise ParseError(f"line {line_no}: capacity factor {factor} outside [0, 1]")
-        times.append(stamp)
-        factors.append(factor)
-        line_nos.append(line_no)
-    _check_increasing(times, line_nos, "wind series")
-    return tuple(times), tuple(factors)
+    return times, factors
 
 
 def align_wind_series(
@@ -217,7 +208,7 @@ class PipelineConfigFile:
 
     ders: tuple[DerConfigEntry, ...]
     search: SearchConfig
-    dispatch_options: dict
+    dispatch: DispatchConfig
     wind_series_path: str | None
     load_path: str
     output_path: str | None
@@ -237,14 +228,27 @@ def _require_keys(data: dict, allowed: set[str], context: str) -> None:
 def _number(data: dict, key: str, context: str, default: float | None = None) -> float | None:
     """`data[key]` as a float, or `default` when it is absent or null; only JSON numbers pass."""
     value = data.get(key)
-    if value is None:
-        return default
+    return default if value is None else _float(value, key, context)
+
+
+def _float(value: object, key: str, context: str) -> float:
+    """A JSON number as a float; anything else is an error that names `key`."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{context}: {key} must be a number, got {value!r}")
     try:
         return float(value)
     except OverflowError:  # an integer literal beyond the float range
         raise ValueError(f"{context}: {key} must be finite") from None
+
+
+def _text(data: dict, key: str, context: str, required: bool = False) -> str | None:
+    """`data[key]` as a non-empty string, or None when it is absent or null and not `required`."""
+    value = data.get(key)
+    if value is None and not required:
+        return None
+    if not isinstance(value, str) or not value:
+        raise ValueError(f"{context}: {key} must be a non-empty string, got {value!r}")
+    return value
 
 
 def _parse_der_entry(data: dict, index: int) -> DerConfigEntry:
@@ -256,21 +260,19 @@ def _parse_der_entry(data: dict, index: int) -> DerConfigEntry:
         {"name", "kind", "lower_bound", "upper_bound", "peak_multiplier", "charge_ratio", "discharge_ratio"},
         context,
     )
-    if "name" not in data or "kind" not in data:
-        raise ValueError(f"{context}: name and kind are required")
-    kind_raw = str(data["kind"]).strip().lower()
-    if kind_raw not in _KIND_BY_NAME:
-        raise ValueError(
-            f"{context}: unknown kind {data['kind']!r}; expected one of {sorted(_KIND_BY_NAME)}"
-        )
+    name = _text(data, "name", context, required=True)
+    kind_raw = _text(data, "kind", context, required=True)
+    kind = _KIND_BY_NAME.get(kind_raw.strip().lower())
+    if kind is None:
+        raise ValueError(f"{context}: unknown kind {kind_raw!r}; expected one of {sorted(_KIND_BY_NAME)}")
     upper, multiplier = _number(data, "upper_bound", context), _number(data, "peak_multiplier", context)
     if upper is not None and multiplier is not None:
         raise ValueError(f"{context}: give upper_bound or peak_multiplier, not both")
     if multiplier is not None and not math.isfinite(multiplier):
-        raise ValueError(f"{context} ({data['name']}): peak_multiplier must be finite, got {multiplier}")
+        raise ValueError(f"{context} ({name}): peak_multiplier must be finite, got {multiplier}")
     return DerConfigEntry(
-        name=str(data["name"]),
-        kind=_KIND_BY_NAME[kind_raw],
+        name=name,
+        kind=kind,
         lower_bound=_number(data, "lower_bound", context, 0.0),
         upper_bound=upper,
         peak_multiplier=multiplier,
@@ -309,16 +311,23 @@ def parse_config(text: str, base_dir: str = ".") -> PipelineConfigFile:
     dispatch_raw = data.get("dispatch", {})
     if not isinstance(dispatch_raw, dict):
         raise ValueError("config: dispatch must be an object")
-    dispatch_raw = dict(dispatch_raw)
-    wind_series_path = dispatch_raw.pop("wind_series_path", None)
-    allowed_dispatch = {f.name for f in dataclasses.fields(DispatchConfig)}
-    _require_keys(dispatch_raw, allowed_dispatch, "config.dispatch")
-    if wind_series_path is not None and "wind_capacity_factor" in dispatch_raw:
+    dispatch_fields = dataclasses.fields(DispatchConfig)
+    _require_keys(dispatch_raw, {f.name for f in dispatch_fields} | {"wind_series_path"}, "config.dispatch")
+    wind_series_path = _text(dispatch_raw, "wind_series_path", "config.dispatch")
+    if wind_series_path is not None and dispatch_raw.get("wind_capacity_factor") is not None:
         raise ValueError("config.dispatch: give wind_capacity_factor or wind_series_path, not both")
+    options = {}
+    for f in dispatch_fields:
+        value = dispatch_raw.get(f.name)
+        if f.name == "wind_capacity_factor" and isinstance(value, list):  # a per-step series
+            options[f.name] = tuple(_float(v, f.name, "config.dispatch") for v in value)
+        else:
+            options[f.name] = _number(dispatch_raw, f.name, "config.dispatch", f.default)
+    try:
+        dispatch = DispatchConfig(**options)
+    except ValueError as exc:
+        raise ValueError(f"config.dispatch: {exc}") from None
 
-    load_path = data.get("load_path")
-    if not load_path:
-        raise ValueError("config: load_path is required")
     precision = _number(data, "capacity_precision", "config", DEFAULT_CAPACITY_PRECISION)
     if not math.isfinite(precision):
         raise ValueError(f"config: capacity_precision must be finite, got {precision}")
@@ -328,10 +337,10 @@ def parse_config(text: str, base_dir: str = ".") -> PipelineConfigFile:
     return PipelineConfigFile(
         ders=ders,
         search=search,
-        dispatch_options=dispatch_raw,
+        dispatch=dispatch,
         wind_series_path=wind_series_path,
-        load_path=str(load_path),
-        output_path=None if data.get("output_path") is None else str(data["output_path"]),
+        load_path=_text(data, "load_path", "config", required=True),
+        output_path=_text(data, "output_path", "config"),
         capacity_precision=precision,
         base_dir=base_dir,
     )
@@ -380,17 +389,12 @@ def resolve_bounds(config: PipelineConfigFile, load: LoadProfile) -> DesignSpace
 
 
 def build_dispatch_config(config: PipelineConfigFile, load: LoadProfile) -> DispatchConfig:
-    """Materialize the DispatchConfig, loading a wind series when configured."""
-    options = dict(config.dispatch_options)
-    if config.wind_series_path is not None:
-        path = config.resolve_path(str(config.wind_series_path))
-        with open(path, "r", encoding="utf-8") as f:
-            times, factors = parse_wind_series(f.read())
-        options["wind_capacity_factor"] = align_wind_series(times, factors, load)
-    try:
-        return DispatchConfig(**options)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"config.dispatch: {exc}") from None
+    """The config's DispatchConfig, with its wind series sampled at the load timestamps if it has one."""
+    if config.wind_series_path is None:
+        return config.dispatch
+    with open(config.resolve_path(config.wind_series_path), "r", encoding="utf-8") as f:
+        times, factors = parse_wind_series(f.read())
+    return dataclasses.replace(config.dispatch, wind_capacity_factor=align_wind_series(times, factors, load))
 
 
 def load_inputs(config: PipelineConfigFile) -> tuple[LoadProfile, DesignSpace, DispatchConfig]:
@@ -566,14 +570,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(config: PipelineConfigFile, args: argparse.Namespace) -> PipelineConfigFile:
-    search = config.search
-    if args.seed is not None:
-        search = dataclasses.replace(search, rng_seed=args.seed)
-    if args.levels is not None:
-        search = dataclasses.replace(search, fine_level_points=args.levels)
-    if args.deficit_threshold is not None:
-        search = dataclasses.replace(search, deficit_display_threshold=args.deficit_threshold)
-    return dataclasses.replace(config, search=search)
+    flags = {
+        "rng_seed": args.seed,
+        "fine_level_points": args.levels,
+        "deficit_display_threshold": args.deficit_threshold,
+    }
+    overrides = {field: value for field, value in flags.items() if value is not None}
+    return dataclasses.replace(config, search=dataclasses.replace(config.search, **overrides))
 
 
 def _resolve_output(config: PipelineConfigFile, args: argparse.Namespace) -> str:
@@ -604,23 +607,15 @@ def _cmd_exhaustive(args: argparse.Namespace) -> int:
     simulated = exhaustive_search(
         cache, space, load, dispatch, levels, config.capacity_precision
     )
-    threshold = config.search.deficit_display_threshold
-    final = [d for d in non_dominated(simulated) if d.deficit_ratio <= threshold]
     counts = stage_counts(
         cache, {}, len(simulated), grid_size(space, levels, config.capacity_precision)
     )
-    report = SearchReport(
-        final_designs=tuple(final),
-        all_simulated=cache.unique_simulations,
-        per_stage_counts={"exhaustive": counts},
-        elapsed_seconds=time.perf_counter() - started,
-        seed=config.search.rng_seed,
-    )
+    report = search_report(cache, {"exhaustive": counts}, simulated, config.search, started)
     log.info(
         "exhaustive enumeration at %d levels: %d simulations, %d designs kept, %d pruned, %d dispatch runs",
         levels,
         report.all_simulated,
-        len(final),
+        len(report.final_designs),
         counts["pruned"],
         counts["dispatch_runs"],
     )

@@ -126,7 +126,7 @@ def exhaustive_search(
     of a plain descending enumeration (the first DER varying slowest).
     """
     grids = build_grids(space, level_points, precision)
-    total = grid_size(space, level_points, precision)
+    total = math.prod(len(g.points) for g in grids)
     if total > PRODUCT_SAFETY_CAP:
         raise SearchSpaceTooLarge(
             f"exhaustive enumeration of {total} candidates exceeds the cap of {PRODUCT_SAFETY_CAP}"
@@ -301,6 +301,24 @@ def stage_counts(
     return counts
 
 
+def search_report(
+    cache: SimulationCache,
+    counts: dict[str, dict[str, int]],
+    designs: list[EvaluatedDesign],
+    search_config: SearchConfig,
+    started: float,
+) -> SearchReport:
+    """The report of a search on `cache`: its non-dominated `designs` within the display threshold."""
+    threshold = search_config.deficit_display_threshold
+    return SearchReport(
+        final_designs=tuple(d for d in non_dominated(designs) if d.deficit_ratio <= threshold),
+        all_simulated=cache.unique_simulations,
+        per_stage_counts=counts,
+        elapsed_seconds=time.perf_counter() - started,
+        seed=search_config.rng_seed,
+    )
+
+
 def run_pipeline(
     space: DesignSpace,
     load: LoadProfile,
@@ -347,23 +365,11 @@ def run_pipeline(
         stage["dispatch_runs"],
     )
 
-    final = [
-        d
-        for d in non_dominated(polished)
-        if d.deficit_ratio <= search_config.deficit_display_threshold
-    ]
-    elapsed = time.perf_counter() - started
+    report = search_report(cache, counts, polished, search_config, started)
     log.info(
         "pipeline done: %d final designs, %d unique simulations, %.2fs",
-        len(final),
-        cache.unique_simulations,
-        elapsed,
+        len(report.final_designs),
+        report.all_simulated,
+        report.elapsed_seconds,
     )
-
-    return SearchReport(
-        final_designs=tuple(final),
-        all_simulated=cache.unique_simulations,
-        per_stage_counts=counts,
-        elapsed_seconds=elapsed,
-        seed=search_config.rng_seed,
-    )
+    return report

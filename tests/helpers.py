@@ -8,7 +8,7 @@ from datetime import datetime, timedelta
 import numpy as np
 
 from dersizer import LoadProfile
-from dersizer.core import SimulationOutcome
+from dersizer.core import EvaluatedDesign, SimulationOutcome
 
 # Battery ratio of the one-day desk instance (see conftest.py).
 DESK_BESS_RATIO_H = 0.5
@@ -32,6 +32,26 @@ def make_outcome(flags, available, used):
         per_der_available=np.array(available, dtype=float),
         per_der_used=np.array(used, dtype=float),
     )
+
+
+def dominates(a: EvaluatedDesign, b: EvaluatedDesign) -> bool:
+    """True when a performs at least as well as b with no more capacity anywhere.
+
+    Requires at least one strict inequality, so identical entries never
+    dominate each other. The oracle that `core.non_dominated` is tested against.
+    """
+    ca, cb = a.capacities, b.capacities
+    if len(ca) != len(cb):
+        raise ValueError(f"capacity vectors differ in length: {len(ca)} vs {len(cb)}")
+    if a.deficit_ratio > b.deficit_ratio:
+        return False
+    strict = a.deficit_ratio < b.deficit_ratio
+    for x, y in zip(ca, cb):
+        if x > y:
+            return False
+        if x < y:
+            strict = True
+    return strict
 
 
 def desk_config_document(load_csv_name: str, output_name: str, rng_seed: int = 42) -> dict:

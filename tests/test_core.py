@@ -19,12 +19,11 @@ from dersizer.core import (
     MicrogridDesign,
     capacity_grid,
     deficit_ratio,
-    dominates,
     non_dominated,
     snap_to_grid,
     unused_ratio,
 )
-from helpers import constant_load, make_outcome
+from helpers import constant_load, dominates, make_outcome
 
 
 def ev(caps, deficit, unused=None):

@@ -1,5 +1,6 @@
 """Ingestion, export and CLI behavior, exercised through the public surfaces."""
 
+import dataclasses
 import json
 import os
 
@@ -21,8 +22,9 @@ from dersizer.io_cli import (
     results_csv_text,
     unused_columns,
 )
+from dersizer.simulator import DispatchConfig
 from dersizer.synthetic import load_profile_csv, two_week_profile
-from helpers import desk_config_document
+from helpers import desk_config_document, dominates
 
 
 def make_load_csv(rows):
@@ -93,6 +95,15 @@ def test_parse_accepts_zulu_timestamps():
 def test_parse_rejects_mixed_timezones():
     text = make_load_csv(["2024-01-01T00:00:00Z,10", "2024-01-01T00:30:00,11"])
     with pytest.raises(ParseError, match="timezone"):
+        parse_load_profile(text)
+
+
+def test_parse_reports_the_first_faulty_line():
+    text = make_load_csv(["2024-01-01T01:00:00,1", "2024-01-01T00:00:00,1", "2024-01-01T02:00:00,-5"])
+    with pytest.raises(ParseError, match="line 3: load profile timestamps must be strictly increasing"):
+        parse_load_profile(text)
+    text = make_load_csv(["2024-01-01T00:00:00,x", "2024-01-01T01:00:00,1,2"])
+    with pytest.raises(ParseError, match="line 2: invalid load value 'x'"):
         parse_load_profile(text)
 
 
@@ -248,6 +259,18 @@ def test_config_wind_series_wired_into_dispatch(tmp_path):
     config = parse_config(json.dumps(doc), base_dir=str(tmp_path))
     dispatch = build_dispatch_config(config, steady_load(100.0))
     assert dispatch.wind_capacity_factor == (0.25, 0.5)
+
+
+def test_config_dispatch_numbers_and_nulls():
+    doc = base_config_dict()
+    doc["dispatch"] = {"wind_capacity_factor": [0.1, 0.2], "pv_peak_factor": None, "bess_min_soc": 0}
+    dispatch = parse_config(json.dumps(doc)).dispatch
+    assert dispatch.wind_capacity_factor == (0.1, 0.2)
+    assert dispatch.pv_peak_factor == DispatchConfig().pv_peak_factor
+    assert dispatch == DispatchConfig(wind_capacity_factor=(0.1, 0.2), bess_min_soc=0.0)
+    doc["dispatch"] = {"wind_capacity_factor": [0.1, True]}
+    with pytest.raises(ValueError, match="config.dispatch: wind_capacity_factor must be a number, got True"):
+        parse_config(json.dumps(doc))
 
 
 def test_config_rejects_both_wind_options():
@@ -433,8 +456,6 @@ def test_cli_exhaustive_coarse_dominated_by_pipeline(desk_cli_dir):
     assert run_cli("size", "--config", config, "--levels", "11", "--out", str(fine_out)) == 0
     _, _, coarse = read_results_csv(coarse_out.read_text())
     _, _, fine = read_results_csv(fine_out.read_text())
-    from dersizer.core import dominates
-
     for c in coarse:
         if c.deficit_ratio != 0.0:
             continue
@@ -502,6 +523,9 @@ def test_cli_non_numeric_search_inputs_exit_2(desk_cli_dir, capsys, field, value
     assert not out.exists()
 
 
+DISPATCH_KEYS = {f.name for f in dataclasses.fields(DispatchConfig)} | {"wind_series_path"}
+
+
 @pytest.mark.parametrize(
     "field, value, message",
     [
@@ -514,11 +538,26 @@ def test_cli_non_numeric_search_inputs_exit_2(desk_cli_dir, capsys, field, value
         ("lower_bound", "0", "ders[0]: lower_bound must be a number, got '0'"),
         ("peak_multiplier", "1", "ders[0]: peak_multiplier must be a number, got '1'"),
         pytest.param("upper_bound", 10**400, "ders[0]: upper_bound must be finite", id="huge-int"),
+        ("name", None, "ders[0]: name must be a non-empty string, got None"),
+        ("name", 5, "ders[0]: name must be a non-empty string, got 5"),
+        ("name", "", "ders[0]: name must be a non-empty string, got ''"),
+        ("kind", None, "ders[0]: kind must be a non-empty string, got None"),
+        ("kind", 5, "ders[0]: kind must be a non-empty string, got 5"),
+        ("load_path", 5, "config: load_path must be a non-empty string, got 5"),
+        ("output_path", True, "config: output_path must be a non-empty string, got True"),
+        ("wind_series_path", 3, "config.dispatch: wind_series_path must be a non-empty string, got 3"),
+        ("pv_peak_factor", True, "config.dispatch: pv_peak_factor must be a number, got True"),
+        ("pv_daylight_start", True, "config.dispatch: pv_daylight_start must be a number, got True"),
+        ("wind_capacity_factor", True, "config.dispatch: wind_capacity_factor must be a number, got True"),
+        ("bess_min_soc", "0.1", "config.dispatch: bess_min_soc must be a number, got '0.1'"),
+        ("wind_capacity_factor", "0.3", "config.dispatch: wind_capacity_factor must be a number, got '0.3'"),
+        ("wind_capacity_factor", [0.1, None], "config.dispatch: wind_capacity_factor must be a number, got None"),
     ],
 )
 def test_cli_config_type_errors_exit_2_and_name_the_field(desk_cli_dir, capsys, field, value, message):
     doc = json.loads((desk_cli_dir / "config.json").read_text())
-    (doc if field == "dispatch" else doc["ders"][0])[field] = value
+    # a top-level key, a dispatch key, or else a key of the first DER
+    (doc if field in doc else doc["dispatch"] if field in DISPATCH_KEYS else doc["ders"][0])[field] = value
     bad = desk_cli_dir / "bad.json"
     bad.write_text(json.dumps(doc), encoding="utf-8")
     out = desk_cli_dir / "x.csv"
@@ -612,12 +651,22 @@ def test_cli_seed_changes_results_but_not_validity(desk_cli_dir):
     assert run_cli("size", "--config", config, "--seed", "404", "--out", str(out)) == 0
     _, _, designs = read_results_csv(out.read_text())
     assert designs
-    from dersizer.core import dominates
-
     for a in designs:
         for b in designs:
             if a is not b:
                 assert not dominates(a, b)
+
+
+def test_cli_deficit_threshold_flag_overrides_the_config(desk_cli_dir):
+    config = str(desk_cli_dir / "config.json")
+    kept = {}
+    for threshold in ("0", "1"):
+        out = desk_cli_dir / f"threshold_{threshold}.csv"
+        argv = ["exhaustive", "--config", config, "--levels", "6", "--deficit-threshold", threshold]
+        assert run_cli(*argv, "--out", str(out)) == 0
+        kept[threshold] = read_results_csv(out.read_text())[2]
+    assert kept["0"] and all(d.deficit_ratio == 0 for d in kept["0"])
+    assert any(d.deficit_ratio > 0.01 for d in kept["1"])
 
 
 def test_default_output_path_resolves_relative_to_config(desk_cli_dir):

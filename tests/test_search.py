@@ -6,7 +6,7 @@ import random
 import pytest
 
 from dersizer import search, simulator
-from dersizer.core import DerKind, DerSpec, DesignSpace, MicrogridDesign, dominates
+from dersizer.core import DerKind, DerSpec, DesignSpace, MicrogridDesign
 from dersizer.search import (
     SearchConfig,
     SearchSpaceTooLarge,
@@ -20,7 +20,7 @@ from dersizer.search import (
     stage_counts,
 )
 from dersizer.simulator import DispatchConfig, SimulationCache, memoized_operate
-from helpers import constant_load
+from helpers import constant_load, dominates
 
 
 @pytest.fixture()
