@@ -89,9 +89,6 @@ class DesignSpace:
         if len(set(names)) != len(names):
             raise ValueError("DER names must be unique")
 
-    def __len__(self) -> int:
-        return len(self.ders)
-
     def validate_design(self, design: "MicrogridDesign") -> None:
         if len(design.capacities) != len(self.ders):
             raise ValueError(
@@ -179,19 +176,20 @@ class CapacityGrid:
     def n_intervals(self) -> int:
         return len(self.points) - 1
 
-    def snap(self, value: float) -> float:
-        """Nearest grid point; exact midpoints resolve to the lower point."""
+    def level(self, value: float) -> int:
+        """Index of the nearest grid point; exact midpoints resolve to the lower point."""
         pts = self.points
         i = bisect.bisect_left(pts, value)
         if i <= 0:
-            return pts[0]
+            return 0
         if i >= len(pts):
-            return pts[-1]
-        lower, upper = pts[i - 1], pts[i]
+            return len(pts) - 1
         # tie (value - lower == upper - value) goes down
-        if value - lower <= upper - value:
-            return lower
-        return upper
+        return i - 1 if value - pts[i - 1] <= pts[i] - value else i
+
+    def snap(self, value: float) -> float:
+        """The grid point at `level(value)`."""
+        return self.points[self.level(value)]
 
 
 @dataclass(frozen=True)
@@ -260,12 +258,9 @@ def capacity_grid(
             and abs(base - round(base)) <= 1e-9 * max(1.0, abs(base))
         )
 
-    points = []
-    for k in range(level_points):
-        p = lo + k * spacing
-        if quantize:
-            p = round(p / precision) * precision
-        points.append(p)
+    points = [lo + k * spacing for k in range(level_points)]
+    if quantize:
+        points = [round(p / precision) * precision for p in points]
     points[0] = lo
     points[-1] = hi
     return CapacityGrid(points=tuple(points), spacing=spacing)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import bisect
+import contextlib
 import csv
 import dataclasses
 import io
@@ -138,9 +139,7 @@ def parse_load_profile(text: str) -> LoadProfile:
     times, demand = _parse_series(text, "load_kw", "load profile", "load value", _load_complaint)
     if len(times) < 2:
         raise ParseError("load profile needs at least 2 data rows")
-    durations = [
-        (times[k + 1] - times[k]).total_seconds() for k in range(len(times) - 1)
-    ]
+    durations = [(later - earlier).total_seconds() for earlier, later in zip(times, times[1:])]
     durations.append(durations[-1])
     return LoadProfile(times=times, durations_s=tuple(durations), demand_kw=demand)
 
@@ -297,6 +296,12 @@ def parse_config(text: str, base_dir: str = ".") -> PipelineConfigFile:
     if not isinstance(ders_raw, list) or not ders_raw:
         raise ValueError("config: ders must be a non-empty list")
     ders = tuple(_parse_der_entry(entry, i) for i, entry in enumerate(ders_raw))
+    names_by_slug: dict[str, str] = {}
+    for der in ders:
+        other = names_by_slug.setdefault(_slug(der.name), der.name)
+        if other != der.name:
+            column = f"{_slug(der.name)}_unused_ratio"
+            raise ValueError(f"config: DERs {other!r} and {der.name!r} share the CSV column {column}")
 
     search_raw = data.get("search", {})
     if not isinstance(search_raw, dict):
@@ -362,19 +367,14 @@ def resolve_bounds(config: PipelineConfigFile, load: LoadProfile) -> DesignSpace
     precision = config.capacity_precision
     specs = []
     for entry in config.ders:
-        if entry.upper_bound is not None:
-            upper = entry.upper_bound
-        else:
-            multiplier = (
-                entry.peak_multiplier
-                if entry.peak_multiplier is not None
-                else DEFAULT_PEAK_MULTIPLIERS[entry.kind]
-            )
-            raw = multiplier * peak
+        upper = entry.upper_bound
+        if upper is None:
+            multiplier = entry.peak_multiplier
+            if multiplier is None:
+                multiplier = DEFAULT_PEAK_MULTIPLIERS[entry.kind]
+            upper = multiplier * peak
             if precision > 0:
-                upper = math.ceil(raw / precision - 1e-9) * precision
-            else:
-                upper = raw
+                upper = math.ceil(upper / precision - 1e-9) * precision
         specs.append(
             DerSpec(
                 name=entry.name,
@@ -471,10 +471,8 @@ def atomic_write(path: str, text: str) -> None:
             f.write(text)
         os.replace(tmp, path)
     except BaseException:
-        try:
+        with contextlib.suppress(OSError):
             os.unlink(tmp)
-        except OSError:
-            pass
         raise
 
 
@@ -498,6 +496,9 @@ def read_results_csv(text: str) -> tuple[list[str], list[str], list[EvaluatedDes
     except StopIteration:
         raise ParseError("line 1: empty results file") from None
     header = [h.strip() for h in header]
+    repeated = [h for k, h in enumerate(header) if h in header[:k]]
+    if repeated:
+        raise ParseError(f"line 1: column {repeated[0]!r} appears more than once")
     if DEFICIT_COLUMN not in header:
         raise ParseError(f"line 1: results file lacks a {DEFICIT_COLUMN} column")
     deficit_at = header.index(DEFICIT_COLUMN)
@@ -569,10 +570,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(config: PipelineConfigFile, args: argparse.Namespace) -> PipelineConfigFile:
+def _apply_overrides(
+    config: PipelineConfigFile, args: argparse.Namespace, levels: int | None
+) -> PipelineConfigFile:
+    """The config with --seed, --deficit-threshold and `levels` (each unless None) in its search settings."""
     flags = {
         "rng_seed": args.seed,
-        "fine_level_points": args.levels,
+        "fine_level_points": levels,
         "deficit_display_threshold": args.deficit_threshold,
     }
     overrides = {field: value for field, value in flags.items() if value is not None}
@@ -588,7 +592,7 @@ def _resolve_output(config: PipelineConfigFile, args: argparse.Namespace) -> str
 
 
 def _cmd_size(args: argparse.Namespace) -> int:
-    config = _apply_overrides(load_config_file(args.config), args)
+    config = _apply_overrides(load_config_file(args.config), args, args.levels)
     out_path = _resolve_output(config, args)
     load, space, dispatch = load_inputs(config)
     report = run_pipeline(space, load, dispatch, config.search, config.capacity_precision)
@@ -598,18 +602,16 @@ def _cmd_size(args: argparse.Namespace) -> int:
 
 
 def _cmd_exhaustive(args: argparse.Namespace) -> int:
-    config = _apply_overrides(load_config_file(args.config), args)
+    # the level count skips SearchConfig's fine >= coarse check: exhaustive has no coarse stage
+    config = _apply_overrides(load_config_file(args.config), args, None)
+    levels = config.search.fine_level_points if args.levels is None else args.levels
     out_path = _resolve_output(config, args)
     load, space, dispatch = load_inputs(config)
-    levels = config.search.fine_level_points
+    precision = config.capacity_precision
     started = time.perf_counter()
     cache = SimulationCache(space, load, dispatch)
-    simulated = exhaustive_search(
-        cache, space, load, dispatch, levels, config.capacity_precision
-    )
-    counts = stage_counts(
-        cache, {}, len(simulated), grid_size(space, levels, config.capacity_precision)
-    )
+    simulated = exhaustive_search(cache, space, load, dispatch, levels, precision)
+    counts = stage_counts(cache, {}, len(simulated), grid_size(space, levels, precision))
     report = search_report(cache, {"exhaustive": counts}, simulated, config.search, started)
     log.info(
         "exhaustive enumeration at %d levels: %d simulations, %d designs kept, %d pruned, %d dispatch runs",

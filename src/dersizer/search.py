@@ -3,7 +3,9 @@ and local descent, chained into the full sizing pipeline.
 
 All stages share one SimulationCache, so reported simulation counts are
 unique designs evaluated, and a design that differs from an earlier one only
-in diesel capacity skips the rest of the dispatch.
+in diesel capacity skips the rest of the dispatch. The refinement walks step
+grid levels (a capacity midway between two belongs to the lower one), and
+each refinement stage evaluates every distinct capacity vector once.
 The stages run on one thread, seed by seed; results are deterministic for a
 fixed (inputs, rng_seed).
 """
@@ -16,7 +18,7 @@ import math
 import numbers
 import random
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 from .core import (
@@ -38,8 +40,8 @@ log = logging.getLogger(__name__)
 # Refuse exhaustive enumerations larger than this many candidates.
 PRODUCT_SAFETY_CAP = 10**8
 
-# A stage's view of the cache: one design in, its metrics out.
-Evaluate = Callable[[MicrogridDesign], EvaluatedDesign]
+# A stage's view of the cache: one capacity vector in, its metrics out.
+Evaluate = Callable[[tuple[float, ...]], EvaluatedDesign]
 
 
 class SearchSpaceTooLarge(RuntimeError):
@@ -162,56 +164,44 @@ def exhaustive_search(
     return [evaluated for _, evaluated in simulated]
 
 
-def _evaluator(cache: SimulationCache) -> Evaluate:
-    """Evaluate a design on the cache's own input, looking `memoized_operate` up at each call."""
+def _evaluator(cache: SimulationCache) -> tuple[Evaluate, dict[tuple[float, ...], EvaluatedDesign]]:
+    """A stage's `evaluate` on the cache's own input, and its record.
+
+    The record maps each capacity vector asked for, in first-asked order, to
+    its metrics. `evaluate` calls `memoized_operate`, looked up at each call,
+    only for a vector the record lacks: a repeat would be a cache hit.
+    """
     space, load, config = cache.space, cache.load, cache.config
-    return lambda design: memoized_operate(cache, space, design, load, config)
+    record: dict[tuple[float, ...], EvaluatedDesign] = {}
+
+    def evaluate(capacities: tuple[float, ...]) -> EvaluatedDesign:
+        if capacities not in record:
+            record[capacities] = memoized_operate(cache, space, MicrogridDesign(capacities), load, config)
+        return record[capacities]
+
+    return evaluate, record
 
 
 def _walk(
-    evaluate: Evaluate, current: EvaluatedDesign, i: int, grid: CapacityGrid, h: int, out: list[EvaluatedDesign]
+    evaluate: Evaluate, current: EvaluatedDesign, i: int, grid: CapacityGrid, h: int
 ) -> tuple[EvaluatedDesign, bool]:
-    """Move DER `i` by `h` grid steps (down when h < 0) while the deficit does not grow.
+    """Move DER `i` by `h` grid levels (down when h < 0) while the deficit does not grow.
 
-    Appends every design evaluated to `out`. Returns the last design moved
-    to, and whether a capacity bound (rather than a growing deficit) stopped
-    the walk.
+    The walk starts from the level nearest DER `i`'s capacity and clamps at
+    the grid's ends. Returns the last design moved to, and whether a
+    capacity bound (rather than a growing deficit) stopped the walk.
     """
+    level = grid.level(current.capacities[i])
     while True:
-        cap = current.capacities[i]
-        target = grid.snap(cap + h * grid.spacing)  # snap clamps to the bounds
-        if target == cap:
+        caps = current.capacities
+        level = min(max(level + h, 0), grid.n_intervals)
+        target = grid.points[level]
+        if target == caps[i]:
             return current, True
-        evaluated = evaluate(current.design.with_capacity(i, target))
-        out.append(evaluated)
+        evaluated = evaluate(caps[:i] + (target,) + caps[i + 1 :])
         if evaluated.deficit_ratio > current.deficit_ratio:
             return current, False
         current = evaluated
-
-
-def _binary_search_one_seed(
-    evaluate: Evaluate, grids: tuple[CapacityGrid, ...], seed: EvaluatedDesign, child_seed: int, passes: int
-) -> list[EvaluatedDesign]:
-    """Halving search around one seed; returns every design it evaluated."""
-    rng = random.Random(child_seed)
-    base = evaluate(snap_to_grid(seed.design, grids))
-    out = [base]
-    for _ in range(passes):
-        # each pass restarts from the snapped seed with a fresh DER order,
-        # exploring a different branch of the neighborhood
-        decrease = base.deficit_ratio == 0
-        current = base
-        order = list(range(len(grids)))
-        rng.shuffle(order)
-        for i in order:
-            h = initial_step_size(grids[i].n_intervals)
-            while h >= 1:
-                current, bounded = _walk(evaluate, current, i, grids[i], -h if decrease else h, out)
-                # a feasible design at the top bound turns the search back downward
-                if bounded and not decrease and current.deficit_ratio == 0:
-                    decrease = True
-                h //= 2
-    return out
 
 
 def binary_search_refine(
@@ -230,26 +220,40 @@ def binary_search_refine(
     """
     if not seeds:
         raise ValueError("binary search needs a non-empty seed set")
-    evaluate = _evaluator(cache)
+    evaluate, record = _evaluator(cache)
     child_seeds = [rng.getrandbits(64) for _ in seeds]
-    trajectories = [
-        _binary_search_one_seed(evaluate, grids, seed_design, child, passes)
-        for seed_design, child in zip(seeds, child_seeds)
-    ]
-    return _first_occurrences(seeds, trajectories)
+    for seed_design, child in zip(seeds, child_seeds):
+        seed_rng = random.Random(child)
+        base = evaluate(snap_to_grid(seed_design.design, grids).capacities)
+        for _ in range(passes):
+            # each pass restarts from the snapped seed with a fresh DER order,
+            # exploring a different branch of the neighborhood
+            decrease = base.deficit_ratio == 0
+            current = base
+            order = list(range(len(grids)))
+            seed_rng.shuffle(order)
+            for i in order:
+                h = initial_step_size(grids[i].n_intervals)
+                while h >= 1:
+                    current, bounded = _walk(evaluate, current, i, grids[i], -h if decrease else h)
+                    # a feasible design at the top bound turns the search back downward
+                    if bounded and not decrease and current.deficit_ratio == 0:
+                        decrease = True
+                    h //= 2
+    return _first_occurrences(seeds, record.values())
 
 
 def _first_occurrences(
-    seeds: list[EvaluatedDesign], trajectories: list[list[EvaluatedDesign]]
+    seeds: list[EvaluatedDesign], evaluated: Iterable[EvaluatedDesign]
 ) -> list[EvaluatedDesign]:
-    """The seeds, then each seed's trajectory in seed order, first occurrence kept.
+    """The seeds, then the `evaluated` designs in order, first occurrence kept.
 
     Duplicates are equal capacity vectors: the cache hands out one object
     per design key, so among cached designs equal keys mean equal capacities.
     """
     merged: dict[tuple[float, ...], EvaluatedDesign] = {}
-    for evaluated in itertools.chain(seeds, *trajectories):
-        merged.setdefault(evaluated.capacities, evaluated)
+    for design in itertools.chain(seeds, evaluated):
+        merged.setdefault(design.capacities, design)
     return list(merged.values())
 
 
@@ -259,25 +263,23 @@ def local_search(
     seeds: list[EvaluatedDesign],
     passes: int,
 ) -> list[EvaluatedDesign]:
-    """Walk each zero-deficit seed downward one grid step at a time.
+    """Walk each zero-deficit seed downward one grid level at a time.
 
     The same walk as the binary search's, with a unit step and downward
-    only, so it stops at the first deficit. DERs are lowered in fixed index
-    order, repeating for `passes` rounds so slack opened by one DER's
-    descent can be recovered from the ones before it. Seeds with deficits
-    pass through untouched.
+    only, so it stops at the first deficit. A seed off the grids starts
+    from its nearest level. DERs are lowered in fixed index order,
+    repeating for `passes` rounds so slack opened by one DER's descent can
+    be recovered from the ones before it. Seeds with deficits pass through
+    untouched.
     """
-    evaluate = _evaluator(cache)
-    trajectories = []
+    evaluate, record = _evaluator(cache)
     for seed_design in seeds:
-        current = evaluate(seed_design.design)
-        out = [current]
-        trajectories.append(out)
+        current = evaluate(seed_design.capacities)
         if current.deficit_ratio == 0:
             for _ in range(passes):
                 for i, grid in enumerate(grids):
-                    current, _ = _walk(evaluate, current, i, grid, -1, out)
-    return _first_occurrences(seeds, trajectories)
+                    current, _ = _walk(evaluate, current, i, grid, -1)
+    return _first_occurrences(seeds, record.values())
 
 
 def stage_counts(

@@ -62,14 +62,9 @@ class DispatchConfig:
             raise ValueError(
                 f"pv daylight window is empty: start={self.pv_daylight_start}, end={self.pv_daylight_end}"
             )
-        for label, value in (
-            ("pv_peak_factor", self.pv_peak_factor),
-            ("bess_charge_efficiency", self.bess_charge_efficiency),
-            ("bess_discharge_efficiency", self.bess_discharge_efficiency),
-            ("bess_initial_soc", self.bess_initial_soc),
-        ):
-            if not 0.0 < value <= 1.0:
-                raise ValueError(f"{label} must be in (0, 1], got {value}")
+        for label in ("pv_peak_factor", "bess_charge_efficiency", "bess_discharge_efficiency", "bess_initial_soc"):
+            if not 0.0 < getattr(self, label) <= 1.0:
+                raise ValueError(f"{label} must be in (0, 1], got {getattr(self, label)}")
         if not 0.0 <= self.bess_min_soc < self.bess_initial_soc:
             raise ValueError("bess_min_soc must satisfy 0 <= min_soc < initial_soc")
 
@@ -128,11 +123,8 @@ def discharge_capability_kw(state: BessState, config: DispatchConfig, duration_s
 
 @functools.lru_cache(maxsize=64)
 def _merit_indices(space: DesignSpace) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    pv = tuple(i for i, d in enumerate(space.ders) if d.kind is DerKind.PHOTOVOLTAIC)
-    wind = tuple(i for i, d in enumerate(space.ders) if d.kind is DerKind.WIND_TURBINE)
-    bess = tuple(i for i, d in enumerate(space.ders) if d.kind is DerKind.BATTERY_STORAGE)
-    diesel = tuple(i for i, d in enumerate(space.ders) if d.kind is DerKind.DIESEL_GENERATOR)
-    return pv, wind, bess, diesel
+    merit = (DerKind.PHOTOVOLTAIC, DerKind.WIND_TURBINE, DerKind.BATTERY_STORAGE, DerKind.DIESEL_GENERATOR)
+    return tuple(tuple(i for i, d in enumerate(space.ders) if d.kind is kind) for kind in merit)
 
 
 def dispatch_step(

@@ -31,6 +31,8 @@ def synthetic_load_profile(
     """Base demand plus a working-hours hump, an evening peak, and seeded noise."""
     if n_steps < 2:
         raise ValueError("need at least 2 steps")
+    if not 0 < step_seconds < math.inf:  # also rejects NaN
+        raise ValueError(f"step_seconds must be positive and finite, got {step_seconds}")
     rng = random.Random(seed)
     times = []
     demand = []
@@ -75,9 +77,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--step-seconds", type=float, default=240.0)
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args(argv)
-    profile = synthetic_load_profile(n_steps=args.steps, step_seconds=args.step_seconds, seed=args.seed)
-    with open(args.out, "w", encoding="utf-8") as f:
-        f.write(load_profile_csv(profile))
+    try:
+        profile = synthetic_load_profile(n_steps=args.steps, step_seconds=args.step_seconds, seed=args.seed)
+        with open(args.out, "w", encoding="utf-8") as f:
+            f.write(load_profile_csv(profile))
+    except (ValueError, OverflowError, OSError) as exc:  # OverflowError: the horizon passes year 9999
+        parser.error(str(exc))
     print(f"wrote {len(profile)} steps to {args.out} (peak {profile.peak_kw:.1f} kW)")
     return 0
 

@@ -339,6 +339,14 @@ def test_snap_clamps_outside_range():
     assert snap_to_grid(MicrogridDesign((99.0,)), grids).capacities == (30.0,)
 
 
+def test_grid_level_is_the_nearest_index_with_midpoints_down():
+    grid = grid_of(10, 20, 30, 40)
+    assert [grid.level(v) for v in (10.0, 14.9, 15.0, 15.1, 40.0)] == [0, 0, 0, 1, 3]
+    assert grid.level(-5.0) == 0 and grid.level(99.0) == 3
+    for value in (3.0, 15.0, 26.0, 35.0, 50.0):
+        assert grid.snap(value) == grid.points[grid.level(value)]
+
+
 # ---------------------------------------------------------------------------
 # type validation
 

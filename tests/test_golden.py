@@ -20,6 +20,15 @@ PIPELINE_STAGE_COUNTS = {
     "binary_search": {"simulations": 244, "designs": 365, "dispatch_runs": 78},
     "local_search": {"simulations": 1, "designs": 114, "dispatch_runs": 0},
 }
+# One desk pipeline at 41 fine levels (the level count of the desk-seeds
+# benchmark), computed before the refinement walk stepped grid levels.
+PIPELINE_41_ALL_SIMULATED = 808
+PIPELINE_41_STAGE_COUNTS = {
+    "exhaustive": {"simulations": 121, "designs": 121, "pruned": 95, "dispatch_runs": 41},
+    "binary_search": {"simulations": 658, "designs": 779, "dispatch_runs": 265},
+    "local_search": {"simulations": 29, "designs": 276, "dispatch_runs": 12},
+}
+PIPELINE_41_FINALS_REPR_SHA256 = "dfc4dfe01faf68675fc4cfa3e03d8d4395bbd33574ec1327e6698833894300a9"
 
 
 def sha256_of(path) -> str:
@@ -43,3 +52,11 @@ def test_pipeline_counts_are_golden(desk_load, desk_space):
     report = run_pipeline(desk_space, desk_load, DispatchConfig(), SearchConfig(rng_seed=PIPELINE_SEED))
     assert report.all_simulated == PIPELINE_ALL_SIMULATED
     assert report.per_stage_counts == PIPELINE_STAGE_COUNTS
+
+
+def test_pipeline_at_41_levels_is_golden(desk_load, desk_space):
+    config = SearchConfig(fine_level_points=41, rng_seed=PIPELINE_SEED)
+    report = run_pipeline(desk_space, desk_load, DispatchConfig(), config)
+    assert report.all_simulated == PIPELINE_41_ALL_SIMULATED
+    assert report.per_stage_counts == PIPELINE_41_STAGE_COUNTS
+    assert hashlib.sha256(repr(report.final_designs).encode()).hexdigest() == PIPELINE_41_FINALS_REPR_SHA256

@@ -6,13 +6,16 @@ import os
 
 import pytest
 
-from dersizer.core import EvaluatedDesign, MicrogridDesign
+from dersizer import synthetic
+from dersizer.core import EvaluatedDesign, MicrogridDesign, non_dominated
 from dersizer.io_cli import (
     ParseError,
     align_wind_series,
     atomic_write,
     build_dispatch_config,
     capacity_columns,
+    load_config_file,
+    load_inputs,
     main,
     parse_config,
     parse_load_profile,
@@ -22,7 +25,8 @@ from dersizer.io_cli import (
     results_csv_text,
     unused_columns,
 )
-from dersizer.simulator import DispatchConfig
+from dersizer.search import exhaustive_search
+from dersizer.simulator import DispatchConfig, SimulationCache
 from dersizer.synthetic import load_profile_csv, two_week_profile
 from helpers import desk_config_document, dominates
 
@@ -210,6 +214,15 @@ def test_config_rejects_unknown_keys():
         parse_config(json.dumps(doc))
 
 
+def test_config_rejects_der_names_that_share_a_column_slug():
+    doc = base_config_dict()
+    doc["ders"][0]["name"] = "Solar A"
+    doc["ders"][1]["name"] = "solar_a"
+    with pytest.raises(ValueError) as err:
+        parse_config(json.dumps(doc))
+    assert str(err.value) == "config: DERs 'Solar A' and 'solar_a' share the CSV column solar_a_unused_ratio"
+
+
 def test_config_rejects_bound_and_multiplier_together():
     doc = base_config_dict()
     doc["ders"][0]["upper_bound"] = 100.0
@@ -322,6 +335,20 @@ def test_read_results_rejects_non_finite_values():
 def test_read_results_rejects_foreign_header():
     with pytest.raises(ParseError):
         read_results_csv("a,b,c\n1,2,3\n")
+
+
+def test_cli_filter_rejects_a_repeated_column(desk_cli_dir, capsys):
+    raw = desk_cli_dir / "raw.csv"
+    raw.write_text(
+        "solar_a_capacity_kw,solar_a_capacity_kw,sizing_grid_deficit_ratio,"
+        "solar_a_unused_ratio,solar_a_unused_ratio\n"
+        "60.0,10.0,0.0000,0.1000,0.2000\n",
+        encoding="utf-8",
+    )
+    out = desk_cli_dir / "filtered.csv"
+    assert main(["filter", str(raw), "--out", str(out)]) == 2
+    assert "line 1: column 'solar_a_capacity_kw' appears more than once" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_empty_results_write_header_only():
@@ -631,6 +658,25 @@ def test_cli_safety_cap_exits_3(desk_cli_dir):
     assert not out.exists()
 
 
+def test_cli_exhaustive_levels_below_the_coarse_count(desk_cli_dir, capsys):
+    # exhaustive has no coarse stage, so 4 levels pass under the default 6 coarse levels
+    config_path = str(desk_cli_dir / "config.json")
+    out = desk_cli_dir / "four.csv"
+    assert run_cli("exhaustive", "--config", config_path, "--levels", "4", "--out", str(out)) == 0
+    config = load_config_file(config_path)
+    load, space, dispatch = load_inputs(config)
+    cache = SimulationCache(space, load, dispatch)
+    direct = exhaustive_search(cache, space, load, dispatch, 4, config.capacity_precision)
+    kept = [d for d in non_dominated(direct) if d.deficit_ratio <= config.search.deficit_display_threshold]
+    assert out.read_text() == results_csv_text(capacity_columns(space), unused_columns(space), kept)
+    capsys.readouterr()
+    assert run_cli("exhaustive", "--config", config_path, "--levels", "1", "--out", str(out)) == 2
+    assert "level_points must be >= 2" in capsys.readouterr().err
+    # the pipeline still needs at least as many fine levels as coarse ones
+    assert run_cli("size", "--config", config_path, "--levels", "4", "--out", str(out)) == 2
+    assert "fine_level_points must be >= coarse_level_points" in capsys.readouterr().err
+
+
 def test_cli_unknown_flag_exits_2(desk_cli_dir):
     with pytest.raises(SystemExit) as err:
         run_cli("size", "--bogus")
@@ -673,3 +719,24 @@ def test_default_output_path_resolves_relative_to_config(desk_cli_dir):
     config = str(desk_cli_dir / "config.json")
     assert run_cli("size", "--config", config) == 0
     assert (desk_cli_dir / "results.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# synthetic load CLI
+
+@pytest.mark.parametrize(
+    "out_name, flags, message",
+    [
+        ("load.csv", ["--steps", "1"], "need at least 2 steps"),
+        ("load.csv", ["--step-seconds", "0"], "step_seconds must be positive and finite, got 0.0"),
+        ("load.csv", ["--step-seconds", "nan"], "step_seconds must be positive and finite, got nan"),
+        ("missing/load.csv", ["--steps", "3"], "[Errno 2] No such file or directory"),
+    ],
+)
+def test_synthetic_cli_rejects_bad_steps_and_paths(tmp_path, capsys, out_name, flags, message):
+    out = tmp_path / out_name
+    with pytest.raises(SystemExit) as err:
+        synthetic.main([str(out), *flags])
+    assert err.value.code == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()

@@ -282,6 +282,51 @@ def test_local_search_second_pass_recovers_cross_der_slack(desk_load, desk_space
         assert probe.deficit_ratio > 0
 
 
+def test_local_search_seed_midway_between_levels_starts_from_the_lower_one():
+    # 12 levels on [0, 500]: 250 lies exactly midway between levels 5 and 6,
+    # so it belongs to level 5 and its first step down goes to level 4
+    space = DesignSpace(ders=(DerSpec(name="diesel", kind=DerKind.DIESEL_GENERATOR, upper_bound=500.0),))
+    grids = build_grids(space, 12)
+    points = grids[0].points
+    assert 250.0 - points[5] == points[6] - 250.0
+    load = constant_load(100.0)
+    cache = SimulationCache(space, load, DispatchConfig())
+    seed = memoized_operate(cache, space, MicrogridDesign((250.0,)), load, DispatchConfig())
+    out = local_search(cache, grids, [seed], 1)
+    # levels 4 and 3 serve the 100 kW load; level 2 (90.9 kW) has a deficit and ends the walk
+    assert caps_of(out) == [(points[2],), (points[3],), (points[4],), (250.0,)]
+    assert cache.unique_simulations == 4
+
+
+def test_each_refinement_stage_evaluates_each_distinct_vector_once(monkeypatch, desk_load, desk_space):
+    stage = [None]
+    calls = {"binary_search": [], "local_search": []}
+
+    def entering(name, run):
+        def wrapped(*args):
+            stage[0] = name
+            try:
+                return run(*args)
+            finally:
+                stage[0] = None
+
+        return wrapped
+
+    def counted(cache, space, design, load, config):
+        if stage[0] is not None:
+            calls[stage[0]].append(design.capacities)
+        return memoized_operate(cache, space, design, load, config)
+
+    monkeypatch.setattr(search, "binary_search_refine", entering("binary_search", binary_search_refine))
+    monkeypatch.setattr(search, "local_search", entering("local_search", local_search))
+    monkeypatch.setattr(search, "memoized_operate", counted)
+    report = run_pipeline(desk_space, desk_load, DispatchConfig(), SearchConfig(rng_seed=7))
+    for name, vectors in calls.items():
+        assert vectors, name
+        assert len(vectors) == len(set(vectors)), name
+        assert len(vectors) >= report.per_stage_counts[name]["simulations"]
+
+
 # ---------------------------------------------------------------------------
 # pipeline
 
