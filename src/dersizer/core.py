@@ -187,10 +187,6 @@ class CapacityGrid:
         # tie (value - lower == upper - value) goes down
         return i - 1 if value - pts[i - 1] <= pts[i] - value else i
 
-    def snap(self, value: float) -> float:
-        """The grid point at `level(value)`."""
-        return self.points[self.level(value)]
-
 
 @dataclass(frozen=True)
 class SimulationOutcome:
@@ -320,9 +316,3 @@ def non_dominated(designs: list[EvaluatedDesign]) -> list[EvaluatedDesign]:
     kept.sort(key=lambda d: d.capacities)
     return kept
 
-
-def snap_to_grid(design: MicrogridDesign, grids: list[CapacityGrid] | tuple[CapacityGrid, ...]) -> MicrogridDesign:
-    """Snap every capacity to its nearest grid point (midpoints round down)."""
-    if len(grids) != len(design.capacities):
-        raise ValueError(f"got {len(grids)} grids for {len(design.capacities)} capacities")
-    return MicrogridDesign(tuple(g.snap(c) for g, c in zip(grids, design.capacities)))

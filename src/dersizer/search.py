@@ -3,9 +3,11 @@ and local descent, chained into the full sizing pipeline.
 
 All stages share one SimulationCache, so reported simulation counts are
 unique designs evaluated, and a design that differs from an earlier one only
-in diesel capacity skips the rest of the dispatch. The refinement walks step
-grid levels (a capacity midway between two belongs to the lower one), and
-each refinement stage evaluates every distinct capacity vector once.
+in diesel capacity skips the rest of the dispatch. Each refinement stage
+snaps a seed to the fine grid once (a capacity midway between two levels
+goes to the lower one), walks integer levels from there, and evaluates
+every distinct level tuple once, so every design it returns lies on the
+fine grid.
 The stages run on one thread, seed by seed; results are deterministic for a
 fixed (inputs, rng_seed).
 """
@@ -18,7 +20,7 @@ import math
 import numbers
 import random
 import time
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .core import (
@@ -31,7 +33,6 @@ from .core import (
     MicrogridDesign,
     capacity_grid,
     non_dominated,
-    snap_to_grid,
 )
 from .simulator import DispatchConfig, SimulationCache, memoized_operate
 
@@ -40,8 +41,10 @@ log = logging.getLogger(__name__)
 # Refuse exhaustive enumerations larger than this many candidates.
 PRODUCT_SAFETY_CAP = 10**8
 
-# A stage's view of the cache: one capacity vector in, its metrics out.
-Evaluate = Callable[[tuple[float, ...]], EvaluatedDesign]
+# A design inside a refinement stage: one fine-grid level per DER.
+Levels = tuple[int, ...]
+# A refinement stage's view of the cache: fine-grid levels in, their design's metrics out.
+Evaluate = Callable[[Levels], EvaluatedDesign]
 
 
 class SearchSpaceTooLarge(RuntimeError):
@@ -164,44 +167,48 @@ def exhaustive_search(
     return [evaluated for _, evaluated in simulated]
 
 
-def _evaluator(cache: SimulationCache) -> tuple[Evaluate, dict[tuple[float, ...], EvaluatedDesign]]:
-    """A stage's `evaluate` on the cache's own input, and its record.
+def _evaluator(
+    cache: SimulationCache, grids: tuple[CapacityGrid, ...]
+) -> tuple[Evaluate, dict[Levels, EvaluatedDesign]]:
+    """A stage's `evaluate` on the cache's own input and the fine `grids`, and its record.
 
-    The record maps each capacity vector asked for, in first-asked order, to
-    its metrics. `evaluate` calls `memoized_operate`, looked up at each call,
-    only for a vector the record lacks: a repeat would be a cache hit.
+    The record maps each level tuple asked for, in first-asked order, to its
+    metrics. `evaluate` builds the capacities and calls `memoized_operate`,
+    looked up at each call, only for levels the record lacks: a repeat
+    would be a cache hit. Two level tuples share a design only when the
+    cache's key rounding merges two grid points, so a stage dedups its
+    record's designs by capacities.
     """
     space, load, config = cache.space, cache.load, cache.config
-    record: dict[tuple[float, ...], EvaluatedDesign] = {}
+    record: dict[Levels, EvaluatedDesign] = {}
 
-    def evaluate(capacities: tuple[float, ...]) -> EvaluatedDesign:
-        if capacities not in record:
-            record[capacities] = memoized_operate(cache, space, MicrogridDesign(capacities), load, config)
-        return record[capacities]
+    def evaluate(levels: Levels) -> EvaluatedDesign:
+        if levels not in record:
+            design = MicrogridDesign(tuple([g.points[k] for g, k in zip(grids, levels)]))
+            record[levels] = memoized_operate(cache, space, design, load, config)
+        return record[levels]
 
     return evaluate, record
 
 
 def _walk(
-    evaluate: Evaluate, current: EvaluatedDesign, i: int, grid: CapacityGrid, h: int
-) -> tuple[EvaluatedDesign, bool]:
-    """Move DER `i` by `h` grid levels (down when h < 0) while the deficit does not grow.
+    evaluate: Evaluate, levels: Levels, current: EvaluatedDesign, i: int, top: int, h: int
+) -> tuple[Levels, EvaluatedDesign, bool]:
+    """Move DER `i` by `h` levels (down when h < 0) while the deficit does not grow.
 
-    The walk starts from the level nearest DER `i`'s capacity and clamps at
-    the grid's ends. Returns the last design moved to, and whether a
+    `current` is the design at `levels`; DER `i`'s level clamps to
+    [0, `top`]. Returns the last levels and design moved to, and whether a
     capacity bound (rather than a growing deficit) stopped the walk.
     """
-    level = grid.level(current.capacities[i])
     while True:
-        caps = current.capacities
-        level = min(max(level + h, 0), grid.n_intervals)
-        target = grid.points[level]
-        if target == caps[i]:
-            return current, True
-        evaluated = evaluate(caps[:i] + (target,) + caps[i + 1 :])
+        target = min(max(levels[i] + h, 0), top)
+        if target == levels[i]:
+            return levels, current, True
+        moved = levels[:i] + (target,) + levels[i + 1 :]
+        evaluated = evaluate(moved)
         if evaluated.deficit_ratio > current.deficit_ratio:
-            return current, False
-        current = evaluated
+            return levels, current, False
+        levels, current = moved, evaluated
 
 
 def binary_search_refine(
@@ -213,48 +220,39 @@ def binary_search_refine(
 ) -> list[EvaluatedDesign]:
     """Diversify a seed set by per-DER halving searches on the fine `grids`.
 
-    Each seed is snapped to the grids, then searched in `passes` rounds
-    over rng-ordered DERs: each DER walks in halving steps, downward while
-    no deficit appears, upward until one disappears. Returns the seeds plus
-    every design simulated, first occurrence kept on duplicates.
+    Each seed is snapped once to its nearest fine levels (a capacity midway
+    between two goes to the lower one), then searched in `passes` rounds
+    over rng-ordered DERs: each DER walks integer levels in halving steps,
+    downward while no deficit appears, upward until one disappears.
+    Returns every distinct design evaluated, snapped seeds included, so
+    each lies on the fine grids.
     """
     if not seeds:
         raise ValueError("binary search needs a non-empty seed set")
-    evaluate, record = _evaluator(cache)
+    evaluate, record = _evaluator(cache, grids)
+    tops = [g.n_intervals for g in grids]
     child_seeds = [rng.getrandbits(64) for _ in seeds]
     for seed_design, child in zip(seeds, child_seeds):
         seed_rng = random.Random(child)
-        base = evaluate(snap_to_grid(seed_design.design, grids).capacities)
+        start = tuple([g.level(c) for g, c in zip(grids, seed_design.capacities)])
+        base = evaluate(start)
         for _ in range(passes):
             # each pass restarts from the snapped seed with a fresh DER order,
             # exploring a different branch of the neighborhood
             decrease = base.deficit_ratio == 0
-            current = base
+            levels, current = start, base
             order = list(range(len(grids)))
             seed_rng.shuffle(order)
             for i in order:
-                h = initial_step_size(grids[i].n_intervals)
+                h = initial_step_size(tops[i])
                 while h >= 1:
-                    current, bounded = _walk(evaluate, current, i, grids[i], -h if decrease else h)
+                    step = -h if decrease else h
+                    levels, current, bounded = _walk(evaluate, levels, current, i, tops[i], step)
                     # a feasible design at the top bound turns the search back downward
                     if bounded and not decrease and current.deficit_ratio == 0:
                         decrease = True
                     h //= 2
-    return _first_occurrences(seeds, record.values())
-
-
-def _first_occurrences(
-    seeds: list[EvaluatedDesign], evaluated: Iterable[EvaluatedDesign]
-) -> list[EvaluatedDesign]:
-    """The seeds, then the `evaluated` designs in order, first occurrence kept.
-
-    Duplicates are equal capacity vectors: the cache hands out one object
-    per design key, so among cached designs equal keys mean equal capacities.
-    """
-    merged: dict[tuple[float, ...], EvaluatedDesign] = {}
-    for design in itertools.chain(seeds, evaluated):
-        merged.setdefault(design.capacities, design)
-    return list(merged.values())
+    return list({d.capacities: d for d in record.values()}.values())
 
 
 def local_search(
@@ -263,23 +261,27 @@ def local_search(
     seeds: list[EvaluatedDesign],
     passes: int,
 ) -> list[EvaluatedDesign]:
-    """Walk each zero-deficit seed downward one grid level at a time.
+    """Walk each seed downward one fine-grid level at a time.
 
-    The same walk as the binary search's, with a unit step and downward
-    only, so it stops at the first deficit. A seed off the grids starts
-    from its nearest level. DERs are lowered in fixed index order,
-    repeating for `passes` rounds so slack opened by one DER's descent can
-    be recovered from the ones before it. Seeds with deficits pass through
-    untouched.
+    Each seed is snapped once to its nearest levels of the `grids` (a
+    capacity midway between two goes to the lower one). From a zero-deficit
+    snapped seed, the binary search's integer-level walk runs with a unit
+    step and downward only, so it stops at the first deficit; a snapped
+    seed with a deficit is kept as it is. DERs are lowered in fixed index
+    order, repeating for `passes` rounds so slack opened by one DER's
+    descent can be recovered from the ones before it. Returns every
+    distinct design evaluated, so each lies on the fine grids.
     """
-    evaluate, record = _evaluator(cache)
+    evaluate, record = _evaluator(cache, grids)
+    tops = [g.n_intervals for g in grids]
     for seed_design in seeds:
-        current = evaluate(seed_design.capacities)
+        levels = tuple([g.level(c) for g, c in zip(grids, seed_design.capacities)])
+        current = evaluate(levels)
         if current.deficit_ratio == 0:
             for _ in range(passes):
-                for i, grid in enumerate(grids):
-                    current, _ = _walk(evaluate, current, i, grid, -1)
-    return _first_occurrences(seeds, record.values())
+                for i, top in enumerate(tops):
+                    levels, current, _ = _walk(evaluate, levels, current, i, top, -1)
+    return list({d.capacities: d for d in record.values()}.values())
 
 
 def stage_counts(

@@ -86,7 +86,7 @@ def check_rightsized(finals, desk_load, desk_space, desk_dispatch):
             continue
         for i, grid in enumerate(grids):
             cap = design.capacities[i]
-            lowered = grid.snap(max(cap - grid.spacing, desk_space.ders[i].lower_bound))
+            lowered = grid.points[max(grid.level(cap) - 1, 0)]
             if lowered == cap:
                 continue  # clamped at the lower bound
             probe = memoized_operate(

@@ -20,7 +20,6 @@ from dersizer.core import (
     capacity_grid,
     deficit_ratio,
     non_dominated,
-    snap_to_grid,
     unused_ratio,
 )
 from helpers import constant_load, dominates, make_outcome
@@ -82,9 +81,9 @@ def test_grid_invariants_random_specs():
         diffs = [b - a for a, b in zip(grid.points, grid.points[1:])]
         for d in diffs:
             assert math.isclose(d, grid.spacing, rel_tol=1e-9)
-        # every grid point snaps back to itself
-        for p in grid.points:
-            assert grid.snap(p) == p
+        # every grid point is its own level
+        for k, p in enumerate(grid.points):
+            assert grid.level(p) == k
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +307,7 @@ def test_non_dominated_matches_bruteforce():
 
 
 # ---------------------------------------------------------------------------
-# snap_to_grid
+# CapacityGrid.level: how a refinement stage snaps a seed to the fine grid
 
 def grid_of(*points):
     pts = tuple(float(p) for p in points)
@@ -316,35 +315,27 @@ def grid_of(*points):
 
 
 def test_snap_nearest():
-    grids = [grid_of(*range(0, 101, 10))]
-    snapped = snap_to_grid(MicrogridDesign((24.0,)), grids)
-    assert snapped.capacities == (20.0,)
+    assert grid_of(*range(0, 101, 10)).level(24.0) == 2
 
 
 def test_snap_midpoint_rounds_down():
-    grids = [grid_of(0, 10, 20, 30)]
-    snapped = snap_to_grid(MicrogridDesign((25.0,)), grids)
-    assert snapped.capacities == (20.0,)
+    assert grid_of(0, 10, 20, 30).level(25.0) == 2
 
 
 def test_snap_identity_on_grid():
-    grids = [grid_of(0, 10, 20, 30)]
-    snapped = snap_to_grid(MicrogridDesign((30.0,)), grids)
-    assert snapped.capacities == (30.0,)
+    assert grid_of(0, 10, 20, 30).level(30.0) == 3
 
 
 def test_snap_clamps_outside_range():
-    grids = [grid_of(10, 20, 30)]
-    assert snap_to_grid(MicrogridDesign((4.0,)), grids).capacities == (10.0,)
-    assert snap_to_grid(MicrogridDesign((99.0,)), grids).capacities == (30.0,)
+    grid = grid_of(10, 20, 30)
+    assert grid.level(4.0) == 0
+    assert grid.level(99.0) == 2
 
 
 def test_grid_level_is_the_nearest_index_with_midpoints_down():
     grid = grid_of(10, 20, 30, 40)
     assert [grid.level(v) for v in (10.0, 14.9, 15.0, 15.1, 40.0)] == [0, 0, 0, 1, 3]
     assert grid.level(-5.0) == 0 and grid.level(99.0) == 3
-    for value in (3.0, 15.0, 26.0, 35.0, 50.0):
-        assert grid.snap(value) == grid.points[grid.level(value)]
 
 
 # ---------------------------------------------------------------------------

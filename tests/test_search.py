@@ -20,7 +20,7 @@ from dersizer.search import (
     stage_counts,
 )
 from dersizer.simulator import DispatchConfig, SimulationCache, memoized_operate
-from helpers import constant_load, dominates
+from helpers import DESK_BESS_RATIO_H, constant_load, dominates
 
 
 @pytest.fixture()
@@ -198,7 +198,7 @@ def test_binary_search_snaps_offgrid_seeds(diesel_space):
     out = binary_search_refine(cache, build_grids(diesel_space, 11), [seed], random.Random(0), 1)
     keys = {d.capacities for d in out}
     assert (90.0,) in keys  # 94 snapped down to the nearest fine point
-    assert (94.0,) in keys  # the original seed is part of the returned set
+    assert (94.0,) not in keys  # the off-grid seed itself is never returned
 
 
 def test_binary_search_requires_seeds(diesel_space):
@@ -269,13 +269,13 @@ def test_local_search_second_pass_recovers_cross_der_slack(desk_load, desk_space
     finals = [d for d in out if d.deficit_ratio == 0]
     best = min(finals, key=lambda d: sum(d.capacities))
     for i, grid in enumerate(grids):
-        lowered = best.capacities[i] - grid.spacing
-        if lowered < desk_space.ders[i].lower_bound - 1e-9:
-            continue
+        lowered = grid.points[max(grid.level(best.capacities[i]) - 1, 0)]
+        if lowered == best.capacities[i]:
+            continue  # clamped at the lower bound
         probe = memoized_operate(
             cache,
             desk_space,
-            best.design.with_capacity(i, grid.snap(lowered)),
+            best.design.with_capacity(i, lowered),
             desk_load,
             desk_dispatch,
         )
@@ -284,7 +284,7 @@ def test_local_search_second_pass_recovers_cross_der_slack(desk_load, desk_space
 
 def test_local_search_seed_midway_between_levels_starts_from_the_lower_one():
     # 12 levels on [0, 500]: 250 lies exactly midway between levels 5 and 6,
-    # so it belongs to level 5 and its first step down goes to level 4
+    # so the seed is snapped to level 5 (227.27) and walks down from there
     space = DesignSpace(ders=(DerSpec(name="diesel", kind=DerKind.DIESEL_GENERATOR, upper_bound=500.0),))
     grids = build_grids(space, 12)
     points = grids[0].points
@@ -293,9 +293,10 @@ def test_local_search_seed_midway_between_levels_starts_from_the_lower_one():
     cache = SimulationCache(space, load, DispatchConfig())
     seed = memoized_operate(cache, space, MicrogridDesign((250.0,)), load, DispatchConfig())
     out = local_search(cache, grids, [seed], 1)
-    # levels 4 and 3 serve the 100 kW load; level 2 (90.9 kW) has a deficit and ends the walk
-    assert caps_of(out) == [(points[2],), (points[3],), (points[4],), (250.0,)]
-    assert cache.unique_simulations == 4
+    # levels 4 and 3 serve the 100 kW load; level 2 (90.9 kW) has a deficit and
+    # ends the walk. The off-grid seed is not returned.
+    assert caps_of(out) == [(points[2],), (points[3],), (points[4],), (points[5],)]
+    assert cache.unique_simulations == 5
 
 
 def test_each_refinement_stage_evaluates_each_distinct_vector_once(monkeypatch, desk_load, desk_space):
@@ -388,6 +389,36 @@ def test_pipeline_degenerate_levels_stay_on_coarse_grid(desk_load, desk_space, d
     for d in report.final_designs:
         for cap, grid in zip(d.capacities, grids):
             assert cap in grid.points
+
+
+def test_pipeline_finals_lie_on_the_fine_grid_and_are_rightsized(desk_load, desk_dispatch):
+    # 11 fine intervals are no multiple of 4 coarse ones, so coarse seeds
+    # such as 75 kW solar or 250 kWh battery lie off the 12-level grids
+    battery = dict(charge_ratio=DESK_BESS_RATIO_H, discharge_ratio=DESK_BESS_RATIO_H)
+    space = DesignSpace(
+        ders=(
+            DerSpec(name="diesel", kind=DerKind.DIESEL_GENERATOR, upper_bound=100.0),
+            DerSpec(name="solar", kind=DerKind.PHOTOVOLTAIC, upper_bound=300.0),
+            DerSpec(name="battery", kind=DerKind.BATTERY_STORAGE, upper_bound=500.0, **battery),
+        )
+    )
+    config = SearchConfig(coarse_level_points=5, fine_level_points=12, rng_seed=0)
+    report = run_pipeline(space, desk_load, desk_dispatch, config)
+    grids = build_grids(space, 12)
+    cache = SimulationCache(space, desk_load, desk_dispatch)
+    assert report.final_designs
+    for d in report.final_designs:
+        for cap, grid in zip(d.capacities, grids):
+            assert cap in grid.points, d.capacities
+        if d.deficit_ratio > 0:
+            continue
+        for i, grid in enumerate(grids):
+            below = [p for p in grid.points if p < d.capacities[i]]
+            if not below:
+                continue  # at the lower bound
+            lowered = d.design.with_capacity(i, below[-1])
+            probe = memoized_operate(cache, space, lowered, desk_load, desk_dispatch)
+            assert probe.deficit_ratio > 0, (d.capacities, i)
 
 
 def test_search_config_validation():
