@@ -109,11 +109,6 @@ class MicrogridDesign:
     def __post_init__(self) -> None:
         object.__setattr__(self, "capacities", tuple(float(c) for c in self.capacities))
 
-    def with_capacity(self, index: int, value: float) -> "MicrogridDesign":
-        caps = list(self.capacities)
-        caps[index] = value
-        return MicrogridDesign(tuple(caps))
-
 
 @dataclass(frozen=True)
 class LoadProfile:
@@ -153,9 +148,9 @@ class LoadProfile:
         return durations
 
     @functools.cached_property
-    def durations_sum(self) -> np.float64:
-        """`durations_array.sum()`, the denominator of every deficit ratio."""
-        return self.durations_array.sum()
+    def durations_sum(self) -> float:
+        """`math.fsum(durations_s)`, the denominator of every deficit ratio."""
+        return math.fsum(self.durations_s)
 
     @property
     def peak_kw(self) -> float:
@@ -263,11 +258,15 @@ def capacity_grid(
 
 
 def deficit_ratio(outcome: SimulationOutcome, load: LoadProfile) -> float:
-    """Duration-weighted fraction of the horizon spent with a power deficit."""
+    """Duration-weighted fraction of the horizon spent with a power deficit.
+
+    Both sums are correctly rounded (`math.fsum`), so the ratio does not
+    depend on summation order and is exactly 1.0 when every step is short.
+    """
     flags = outcome.deficit_flags
     if len(flags) != len(load):
         raise ValueError(f"outcome has {len(flags)} steps, load has {len(load)}")
-    return float(np.dot(flags, load.durations_array) / load.durations_sum)
+    return math.fsum(load.durations_array[flags != 0].tolist()) / load.durations_sum
 
 
 def unused_ratio(outcome: SimulationOutcome, der_index: int, capacity: float) -> float:

@@ -3,11 +3,13 @@ and local descent, chained into the full sizing pipeline.
 
 All stages share one SimulationCache, so reported simulation counts are
 unique designs evaluated, and a design that differs from an earlier one only
-in diesel capacity skips the rest of the dispatch. Each refinement stage
-snaps a seed to the fine grid once (a capacity midway between two levels
-goes to the lower one), walks integer levels from there, and evaluates
-every distinct level tuple once, so every design it returns lies on the
-fine grid.
+in diesel capacity skips the rest of the dispatch. All three stages work in
+grid levels and evaluate a design only through `_evaluator`, which turns a
+level tuple into capacities and calls `memoized_operate`. Each refinement
+stage snaps a seed to the fine grid once (a capacity midway between two
+levels goes to the lower one), walks integer levels from there, and
+evaluates every distinct level tuple once, so every design it returns lies
+on the fine grid.
 The stages run on one thread, seed by seed; results are deterministic for a
 fixed (inputs, rng_seed).
 """
@@ -41,9 +43,9 @@ log = logging.getLogger(__name__)
 # Refuse exhaustive enumerations larger than this many candidates.
 PRODUCT_SAFETY_CAP = 10**8
 
-# A design inside a refinement stage: one fine-grid level per DER.
+# A design inside a search stage: one grid level per DER.
 Levels = tuple[int, ...]
-# A refinement stage's view of the cache: fine-grid levels in, their design's metrics out.
+# A search stage's view of the cache: grid levels in, their design's metrics out.
 Evaluate = Callable[[Levels], EvaluatedDesign]
 
 
@@ -111,71 +113,16 @@ def grid_size(
     return math.prod(len(g.points) for g in build_grids(space, level_points, precision))
 
 
-def exhaustive_search(
-    cache: SimulationCache,
-    space: DesignSpace,
-    load: LoadProfile,
-    dispatch_config: DispatchConfig,
-    level_points: int,
-    precision: float = DEFAULT_CAPACITY_PRECISION,
-) -> list[EvaluatedDesign]:
-    """Enumerate the full capacity grid, skipping provably deficient designs.
-
-    Candidates are visited with each DER's capacities descending, so a
-    design whose single-level-raised neighbor is already known deficient can
-    be pruned without simulating: under a monotone simulator it can only be
-    worse. Diesel DERs vary fastest, so all diesel levels of one non-diesel
-    vector run back to back on its memoised pre-diesel dispatch; every
-    all-descending order visits each raised neighbor first, so the order
-    changes no prune decision. Returns the simulated designs in the order
-    of a plain descending enumeration (the first DER varying slowest).
-    """
-    grids = build_grids(space, level_points, precision)
-    total = math.prod(len(g.points) for g in grids)
-    if total > PRODUCT_SAFETY_CAP:
-        raise SearchSpaceTooLarge(
-            f"exhaustive enumeration of {total} candidates exceeds the cap of {PRODUCT_SAFETY_CAP}"
-        )
-
-    n_ders = len(space.ders)
-    # a visited tuple holds the levels of the DERs in `order`; DER i's is at where[i]
-    order = sorted(range(n_ders), key=lambda i: space.ders[i].kind is DerKind.DIESEL_GENERATOR)
-    where = [order.index(i) for i in range(n_ders)]
-    tops = [grids[i].n_intervals for i in order]
-    # a candidate's neighbor raised one level at position k was visited
-    # strides[k] candidates before it
-    strides = [math.prod(top + 1 for top in tops[k + 1 :]) for k in range(n_ders)]
-    neighbors = list(zip(tops, strides))
-    deficient = bytearray(total)  # by visit rank: simulated deficient, or pruned
-    simulated: list[tuple[tuple[int, ...], EvaluatedDesign]] = []
-
-    levels = itertools.product(*(range(top, -1, -1) for top in tops))
-    capacities = itertools.product(*(grids[i].points[::-1] for i in order))
-    for rank, (visit, caps) in enumerate(zip(levels, capacities)):
-        for level, (top, stride) in zip(visit, neighbors):
-            # a top level's raised neighbor clamps to itself
-            if level < top and deficient[rank - stride]:
-                deficient[rank] = 1
-                break
-        else:
-            design = MicrogridDesign(tuple([caps[k] for k in where]))
-            evaluated = memoized_operate(cache, space, design, load, dispatch_config)
-            simulated.append((visit, evaluated))
-            if evaluated.deficit_ratio > 0:
-                deficient[rank] = 1
-    simulated.sort(key=lambda entry: [entry[0][k] for k in where], reverse=True)
-    return [evaluated for _, evaluated in simulated]
-
-
 def _evaluator(
     cache: SimulationCache, grids: tuple[CapacityGrid, ...]
 ) -> tuple[Evaluate, dict[Levels, EvaluatedDesign]]:
-    """A stage's `evaluate` on the cache's own input and the fine `grids`, and its record.
+    """A stage's `evaluate` on the cache's own input and its `grids`, and its record.
 
-    The record maps each level tuple asked for, in first-asked order, to its
-    metrics. `evaluate` builds the capacities and calls `memoized_operate`,
-    looked up at each call, only for levels the record lacks: a repeat
-    would be a cache hit. Two level tuples share a design only when the
+    The only place where the search evaluates a design: all three stages ask
+    it for level tuples. The record maps each level tuple asked for, in
+    first-asked order, to its metrics. `evaluate` builds the capacities and
+    calls `memoized_operate`, looked up at each call, only for levels the
+    record lacks: a repeat would be a cache hit. Two level tuples share a design only when the
     cache's key rounding merges two grid points, so a stage dedups its
     record's designs by capacities.
     """
@@ -189,6 +136,62 @@ def _evaluator(
         return record[levels]
 
     return evaluate, record
+
+
+def exhaustive_search(
+    cache: SimulationCache,
+    space: DesignSpace,
+    load: LoadProfile,
+    dispatch_config: DispatchConfig,
+    level_points: int,
+    precision: float = DEFAULT_CAPACITY_PRECISION,
+) -> list[EvaluatedDesign]:
+    """Enumerate the full capacity grid, skipping provably deficient designs.
+
+    Candidates are visited with each DER's capacities descending, so a
+    design whose single-level-raised neighbor is already known deficient is
+    pruned without simulating. Pruning assumes that raising a capacity never
+    adds a deficit step; a slow battery can break this (a larger one drains
+    sooner ahead of diesel), and then a pruned design may have no deficit.
+    Diesel DERs vary fastest, so all diesel levels of one non-diesel vector
+    run back to back on its memoised pre-diesel dispatch; every
+    all-descending order visits each raised neighbor first, so the order
+    changes no prune decision. Candidates go through `_evaluator`, on the
+    cache's own input, so ValueError is raised when `cache` serves another
+    (space, load, config). Returns the simulated designs in the order of a
+    plain descending enumeration (the first DER varying slowest).
+    """
+    cache._check_input(space, load, dispatch_config)
+    grids = build_grids(space, level_points, precision)
+    total = math.prod(len(g.points) for g in grids)
+    if total > PRODUCT_SAFETY_CAP:
+        raise SearchSpaceTooLarge(
+            f"exhaustive enumeration of {total} candidates exceeds the cap of {PRODUCT_SAFETY_CAP}"
+        )
+
+    evaluate, record = _evaluator(cache, grids)
+    n_ders = len(space.ders)
+    # a visited tuple holds the levels of the DERs in `order`; DER i's is at where[i]
+    order = sorted(range(n_ders), key=lambda i: space.ders[i].kind is DerKind.DIESEL_GENERATOR)
+    where = [order.index(i) for i in range(n_ders)]
+    tops = [grids[i].n_intervals for i in order]
+    # a candidate's neighbor raised one level at position k was visited
+    # strides[k] candidates before it
+    strides = [math.prod(top + 1 for top in tops[k + 1 :]) for k in range(n_ders)]
+    neighbors = list(zip(tops, strides))
+    deficient = bytearray(total)  # by visit rank: simulated deficient, or pruned
+
+    visits = itertools.product(*(range(top, -1, -1) for top in tops))
+    for rank, visit in enumerate(visits):
+        for level, (top, stride) in zip(visit, neighbors):
+            # a top level's raised neighbor clamps to itself
+            if level < top and deficient[rank - stride]:
+                deficient[rank] = 1
+                break
+        else:
+            if evaluate(tuple([visit[k] for k in where])).deficit_ratio > 0:
+                deficient[rank] = 1
+    return [record[levels] for levels in sorted(record, reverse=True)]
 
 
 def _walk(

@@ -354,9 +354,9 @@ class SimulationCache:
     - a memo of the pre-diesel dispatch keyed by `non_diesel_key`, whose
       least recently used entries go once its arrays exceed
       PRE_DIESEL_MEMO_FLOATS floats;
-    - the unused ratios of the non-diesel DERs, by `non_diesel_key` too.
-      They are exact for every diesel level, because diesel is served last
-      and writes only its own rows. The table holds one small tuple per
+    - the unused ratios of the non-diesel DERs by DER index, keyed by
+      `non_diesel_key` too. They are exact for every diesel level, because
+      diesel is served last and writes only its own rows. The table holds one small dict per
       distinct non-diesel vector, at most one per unique simulation, and is
       kept apart from the memo so it neither evicts nor is evicted.
     Not safe for concurrent use.
@@ -367,8 +367,6 @@ class SimulationCache:
         self.pv_idx, self.wind_idx, self.bess_idx, self.diesel_idx = _merit_indices(space)
         self.renewable_idx = self.pv_idx + self.wind_idx
         self.non_diesel_idx = self.renewable_idx + self.bess_idx
-        merit_order = self.non_diesel_idx + self.diesel_idx
-        self._der_positions = tuple(merit_order.index(i) for i in range(len(space.ders)))
         self._non_diesel_struct = struct.Struct(f"{len(self.non_diesel_idx)}d")
         self.pv_factors = pv_availability(load.times, config)
         self.wind_factors = wind_availability(len(load), config)
@@ -380,7 +378,7 @@ class SimulationCache:
         self._designs: dict[tuple[float, ...], EvaluatedDesign] = {}
         self._pre_diesel: OrderedDict[bytes, _PreDiesel] = OrderedDict()
         self._pre_diesel_floats = 0
-        self._non_diesel_ratios: dict[bytes, tuple[float, ...]] = {}
+        self._non_diesel_ratios: dict[bytes, dict[int, float]] = {}
         self.dispatch_runs = 0  # pre-diesel dispatches run; at most `unique_simulations`
 
     @staticmethod
@@ -519,13 +517,9 @@ def memoized_operate(
     non_diesel_key = cache.non_diesel_key(caps)
     non_diesel = cache._non_diesel_ratios.get(non_diesel_key)
     if non_diesel is None:
-        non_diesel = tuple(unused_ratio(outcome, i, caps[i]) for i in cache.non_diesel_idx)
+        non_diesel = {i: unused_ratio(outcome, i, caps[i]) for i in cache.non_diesel_idx}
         cache._non_diesel_ratios[non_diesel_key] = non_diesel
-    merit_ratios = non_diesel + tuple(unused_ratio(outcome, i, caps[i]) for i in cache.diesel_idx)
-    evaluated = EvaluatedDesign(
-        design=design,
-        deficit_ratio=deficit_ratio(outcome, load),
-        unused_ratios=tuple(merit_ratios[p] for p in cache._der_positions),
-    )
+    ratios = [non_diesel[i] if i in non_diesel else unused_ratio(outcome, i, c) for i, c in enumerate(caps)]
+    evaluated = EvaluatedDesign(design, deficit_ratio(outcome, load), tuple(ratios))
     cache._designs[key] = evaluated
     return evaluated

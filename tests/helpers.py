@@ -8,7 +8,7 @@ from datetime import datetime, timedelta
 import numpy as np
 
 from dersizer import LoadProfile
-from dersizer.core import EvaluatedDesign, SimulationOutcome
+from dersizer.core import EvaluatedDesign, MicrogridDesign, SimulationOutcome
 
 # Battery ratio of the one-day desk instance (see conftest.py).
 DESK_BESS_RATIO_H = 0.5
@@ -32,6 +32,13 @@ def make_outcome(flags, available, used):
         per_der_available=np.array(available, dtype=float),
         per_der_used=np.array(used, dtype=float),
     )
+
+
+def with_capacity(design: MicrogridDesign, index: int, value: float) -> MicrogridDesign:
+    """`design` with DER `index` set to `value`."""
+    caps = list(design.capacities)
+    caps[index] = value
+    return MicrogridDesign(tuple(caps))
 
 
 def dominates(a: EvaluatedDesign, b: EvaluatedDesign) -> bool:

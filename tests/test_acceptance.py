@@ -24,7 +24,7 @@ from dersizer.io_cli import main as cli_main
 from dersizer.search import SearchConfig, build_grids, exhaustive_search, run_pipeline
 from dersizer.simulator import DispatchConfig, SimulationCache, memoized_operate, operate
 from dersizer.synthetic import two_week_profile
-from helpers import ceil_to, constant_load, dominates, make_outcome
+from helpers import ceil_to, constant_load, dominates, make_outcome, with_capacity
 
 FINE_POINTS = 11
 PIPELINE_SEED = 42
@@ -92,7 +92,7 @@ def check_rightsized(finals, desk_load, desk_space, desk_dispatch):
             probe = memoized_operate(
                 cache,
                 desk_space,
-                design.design.with_capacity(i, lowered),
+                with_capacity(design.design, i, lowered),
                 desk_load,
                 desk_dispatch,
             )

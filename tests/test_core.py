@@ -22,7 +22,7 @@ from dersizer.core import (
     non_dominated,
     unused_ratio,
 )
-from helpers import constant_load, dominates, make_outcome
+from helpers import constant_load, dominates, make_outcome, with_capacity
 
 
 def ev(caps, deficit, unused=None):
@@ -98,6 +98,14 @@ def test_deficit_ratio_all_satisfied():
 def test_deficit_ratio_never_satisfied():
     load = constant_load(50.0, n_steps=4)
     outcome = make_outcome([1, 1, 1, 1], [[0.0] * 4], [[0.0] * 4])
+    assert deficit_ratio(outcome, load) == 1.0
+
+
+def test_deficit_ratio_is_exactly_one_when_every_fractional_step_is_short():
+    # 8 x 0.7 s sums to 5.6000000000000005 left to right and to 5.6 pairwise, so
+    # a numerator and denominator summed in different orders gave 1.0000000000000002
+    load = constant_load(10.0, n_steps=8, step_seconds=0.7)
+    outcome = make_outcome([1] * 8, [[0.0] * 8], [[0.0] * 8])
     assert deficit_ratio(outcome, load) == 1.0
 
 
@@ -400,7 +408,7 @@ def test_value_types_are_slotted_and_pickle(value):
     if isinstance(value, MicrogridDesign):
         changed = dataclasses.replace(value, capacities=(1, 2, 3))
         assert changed.capacities == (1.0, 2.0, 3.0)  # __post_init__ still runs
-        assert value.with_capacity(1, 5.0) == MicrogridDesign((90.0, 5.0, 12.5))
+        assert with_capacity(value, 1, 5.0) == MicrogridDesign((90.0, 5.0, 12.5))
     else:
         changed = dataclasses.replace(value, deficit_ratio=0.5)
         assert (changed.design, changed.deficit_ratio, changed.unused_ratios) == (value.design, 0.5, value.unused_ratios)
@@ -436,4 +444,4 @@ def test_load_profile_hash_and_durations_cached_consistently():
     assert not durations.flags.writeable
     assert durations.tolist() == list(load.durations_s)
     assert load.durations_sum is load.durations_sum
-    assert load.durations_sum.tobytes() == durations.sum().tobytes()
+    assert load.durations_sum == math.fsum(load.durations_s)

@@ -7,9 +7,13 @@ says so.
 
 import hashlib
 
+import pytest
+
 from dersizer import DispatchConfig
+from dersizer.core import non_dominated
 from dersizer.io_cli import main
-from dersizer.search import SearchConfig, run_pipeline
+from dersizer.search import SearchConfig, exhaustive_search, run_pipeline
+from dersizer.simulator import SimulationCache
 
 SIZE_CSV_SHA256 = "a2690dbca839cd50c818e9b73bb1ff90b1bc26f2447759afe305fae0469a1e3a"
 EXHAUSTIVE_8_CSV_SHA256 = "267261cf7dd072bd67b1a2baf3bc43876ee2ea4a586ba0d3f36b73d61e390d65"
@@ -29,6 +33,15 @@ PIPELINE_41_STAGE_COUNTS = {
     "local_search": {"simulations": 29, "designs": 276, "dispatch_runs": 12},
 }
 PIPELINE_41_FINALS_REPR_SHA256 = "dfc4dfe01faf68675fc4cfa3e03d8d4395bbd33574ec1327e6698833894300a9"
+
+# Recall at 21 fine levels: how many of the exact zero-deficit frontier's
+# designs the pipeline reports. The oracle is the exhaustive stage's
+# non-dominated zero-deficit set at 21 levels, exact on the desk instance
+# because its dispatch is monotone in every capacity.
+RECALL_21_ORACLE_DESIGNS = 32
+RECALL_21_ORACLE_SIMULATIONS = 5396
+# rng seed -> (oracle designs found, pipeline simulations)
+RECALL_21_BY_SEED = {7: (20, 550), 42: (18, 543)}
 
 
 def sha256_of(path) -> str:
@@ -60,3 +73,21 @@ def test_pipeline_at_41_levels_is_golden(desk_load, desk_space):
     assert report.all_simulated == PIPELINE_41_ALL_SIMULATED
     assert report.per_stage_counts == PIPELINE_41_STAGE_COUNTS
     assert hashlib.sha256(repr(report.final_designs).encode()).hexdigest() == PIPELINE_41_FINALS_REPR_SHA256
+
+
+@pytest.fixture(scope="module")
+def desk_oracle_21(desk_load, desk_space):
+    cache = SimulationCache(desk_space, desk_load, DispatchConfig())
+    designs = exhaustive_search(cache, desk_space, desk_load, DispatchConfig(), 21)
+    assert cache.unique_simulations == RECALL_21_ORACLE_SIMULATIONS
+    return {d.capacities for d in non_dominated(designs) if d.deficit_ratio == 0}
+
+
+@pytest.mark.parametrize("rng_seed", sorted(RECALL_21_BY_SEED))
+def test_pipeline_recall_at_21_levels_is_golden(desk_load, desk_space, desk_oracle_21, rng_seed):
+    assert len(desk_oracle_21) == RECALL_21_ORACLE_DESIGNS
+    config = SearchConfig(fine_level_points=21, rng_seed=rng_seed)
+    report = run_pipeline(desk_space, desk_load, DispatchConfig(), config)
+    found = {d.capacities for d in report.final_designs if d.deficit_ratio == 0}
+    assert found <= desk_oracle_21  # no zero-deficit final lies off the exact frontier
+    assert (len(found), report.all_simulated) == RECALL_21_BY_SEED[rng_seed]

@@ -20,7 +20,7 @@ from dersizer.search import (
     stage_counts,
 )
 from dersizer.simulator import DispatchConfig, SimulationCache, memoized_operate
-from helpers import DESK_BESS_RATIO_H, constant_load, dominates
+from helpers import DESK_BESS_RATIO_H, constant_load, dominates, with_capacity
 
 
 @pytest.fixture()
@@ -153,6 +153,20 @@ def test_exhaustive_refuses_oversized_product(diesel_space, monkeypatch):
         exhaustive_search(SimulationCache(two, load, config), two, load, config, 6)
 
 
+def test_exhaustive_refuses_a_cache_built_for_another_input(diesel_space):
+    load, config = constant_load(50.0), DispatchConfig()
+    wider = DesignSpace(ders=(DerSpec(name="diesel", kind=DerKind.DIESEL_GENERATOR, upper_bound=120.0),))
+    cache = SimulationCache(diesel_space, load, config)
+    for space, other_load, other_config in (
+        (wider, load, config),
+        (diesel_space, constant_load(60.0), config),
+        (diesel_space, load, DispatchConfig(pv_peak_factor=0.9)),
+    ):
+        with pytest.raises(ValueError, match="another"):
+            exhaustive_search(cache, space, other_load, other_config, 6)
+    assert cache.unique_simulations == 0
+
+
 # ---------------------------------------------------------------------------
 # binary search refinement
 
@@ -275,7 +289,7 @@ def test_local_search_second_pass_recovers_cross_der_slack(desk_load, desk_space
         probe = memoized_operate(
             cache,
             desk_space,
-            best.design.with_capacity(i, lowered),
+            with_capacity(best.design, i, lowered),
             desk_load,
             desk_dispatch,
         )
@@ -416,7 +430,7 @@ def test_pipeline_finals_lie_on_the_fine_grid_and_are_rightsized(desk_load, desk
             below = [p for p in grid.points if p < d.capacities[i]]
             if not below:
                 continue  # at the lower bound
-            lowered = d.design.with_capacity(i, below[-1])
+            lowered = with_capacity(d.design, i, below[-1])
             probe = memoized_operate(cache, space, lowered, desk_load, desk_dispatch)
             assert probe.deficit_ratio > 0, (d.capacities, i)
 

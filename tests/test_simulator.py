@@ -38,6 +38,7 @@ from dersizer.simulator import (
     wind_availability,
 )
 from dersizer.synthetic import two_week_profile
+from helpers import with_capacity
 
 
 def stamps(*hours):
@@ -293,7 +294,7 @@ def test_monotonicity_fails_with_slow_battery_on_two_week_profile():
     )
     grids = [capacity_grid(spec, 161).points for spec in space.ders]
     design = MicrogridDesign((grids[0][59], grids[1][60], grids[2][72]))
-    raised = design.with_capacity(2, grids[2][73])
+    raised = with_capacity(design, 2, grids[2][73])
     assert design.capacities == (33.1875, 99.375, 198.0)
     assert raised.capacities == (33.1875, 99.375, 200.75)
     config = DispatchConfig()
@@ -327,7 +328,7 @@ def test_cache_repeated_lookups_counted_once(desk_load, desk_space, desk_dispatc
     assert all(r.capacities == design.capacities for r in results)
     assert len({id(r) for r in results}) == 1
     # another diesel level is a new simulation but reuses the pre-diesel dispatch
-    memoized_operate(cache, desk_space, design.with_capacity(0, 45.0), desk_load, desk_dispatch)
+    memoized_operate(cache, desk_space, with_capacity(design, 0, 45.0), desk_load, desk_dispatch)
     assert (cache.unique_simulations, cache.dispatch_runs) == (2, 1)
 
 
@@ -336,9 +337,9 @@ def test_cache_rejects_a_second_input(desk_load, desk_space, desk_dispatch):
     seen = MicrogridDesign((90.0, 53.0, 88.0))
     memoized_operate(cache, desk_space, seen, desk_load, desk_dispatch)
     # an equal but distinct config is the same input
-    unseen = seen.with_capacity(0, 45.0)
+    unseen = with_capacity(seen, 0, 45.0)
     memoized_operate(cache, desk_space, unseen, desk_load, DispatchConfig())
-    unseen = unseen.with_capacity(1, 26.5)
+    unseen = with_capacity(unseen, 1, 26.5)
 
     wider = DesignSpace(ders=(replace(desk_space.ders[0], upper_bound=95.0), *desk_space.ders[1:]))
     busier = LoadProfile(
@@ -399,7 +400,7 @@ def test_diesel_only_change_computes_only_the_diesel_unused_ratio(desk_load, des
     first = memoized_operate(cache, desk_space, design, desk_load, desk_dispatch)
     assert sorted(computed) == [0, 1, 2]
     computed.clear()
-    second = memoized_operate(cache, desk_space, design.with_capacity(0, 45.0), desk_load, desk_dispatch)
+    second = memoized_operate(cache, desk_space, with_capacity(design, 0, 45.0), desk_load, desk_dispatch)
     assert computed == [0]  # the solar and battery ratios come from the table
     assert second.unused_ratios[1:] == first.unused_ratios[1:]
     assert (cache.unique_simulations, cache.dispatch_runs, len(cache._non_diesel_ratios)) == (2, 1, 1)
