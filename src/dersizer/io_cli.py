@@ -41,10 +41,9 @@ from .search import (
     SearchReport,
     SearchSpaceTooLarge,
     exhaustive_search,
-    grid_size,
+    record_stage,
     run_pipeline,
     search_report,
-    stage_counts,
 )
 from .simulator import DispatchConfig, SimulationCache, memoized_operate
 
@@ -611,15 +610,14 @@ def _cmd_exhaustive(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     cache = SimulationCache(space, load, dispatch)
     simulated = exhaustive_search(cache, space, load, dispatch, levels, precision)
-    counts = stage_counts(cache, {}, len(simulated), grid_size(space, levels, precision))
-    report = search_report(cache, {"exhaustive": counts}, simulated, config.search, started)
+    counts: dict[str, dict[str, int]] = {}
+    record_stage(cache, counts, "exhaustive", len(simulated), levels ** len(space.ders))
+    report = search_report(cache, counts, simulated, config.search, started)
     log.info(
-        "exhaustive enumeration at %d levels: %d simulations, %d designs kept, %d pruned, %d dispatch runs",
+        "exhaustive enumeration at %d levels: %d simulations, %d designs kept",
         levels,
         report.all_simulated,
         len(report.final_designs),
-        counts["pruned"],
-        counts["dispatch_runs"],
     )
     write_report(report, out_path, args.format, space)
     return 0

@@ -78,8 +78,8 @@ class SearchConfig:
             raise ValueError("fine_level_points must be >= coarse_level_points")
         if self.outer_passes is not None and self.outer_passes < 1:
             raise ValueError("outer_passes must be >= 1")
-        if not self.deficit_display_threshold >= 0:  # also rejects NaN
-            raise ValueError("deficit_display_threshold must be >= 0")
+        if not (math.isfinite(threshold) and threshold >= 0):
+            raise ValueError(f"deficit_display_threshold must be finite and >= 0, got {threshold!r}")
 
 
 @dataclass(frozen=True)
@@ -104,13 +104,6 @@ def build_grids(
     space: DesignSpace, level_points: int, precision: float = DEFAULT_CAPACITY_PRECISION
 ) -> tuple[CapacityGrid, ...]:
     return tuple(capacity_grid(spec, level_points, precision) for spec in space.ders)
-
-
-def grid_size(
-    space: DesignSpace, level_points: int, precision: float = DEFAULT_CAPACITY_PRECISION
-) -> int:
-    """Number of candidate designs on the full capacity grid."""
-    return math.prod(len(g.points) for g in build_grids(space, level_points, precision))
 
 
 def _evaluator(
@@ -162,8 +155,8 @@ def exhaustive_search(
     plain descending enumeration (the first DER varying slowest).
     """
     cache._check_input(space, load, dispatch_config)
-    grids = build_grids(space, level_points, precision)
-    total = math.prod(len(g.points) for g in grids)
+    grids = build_grids(space, level_points, precision)  # rejects a level count below 2
+    total = level_points ** len(space.ders)
     if total > PRODUCT_SAFETY_CAP:
         raise SearchSpaceTooLarge(
             f"exhaustive enumeration of {total} candidates exceeds the cap of {PRODUCT_SAFETY_CAP}"
@@ -287,25 +280,32 @@ def local_search(
     return list({d.capacities: d for d in record.values()}.values())
 
 
-def stage_counts(
+def record_stage(
     cache: SimulationCache,
-    earlier: dict[str, dict[str, int]],
+    counts: dict[str, dict[str, int]],
+    stage: str,
     designs: int,
     candidates: int | None = None,
-) -> dict[str, int]:
-    """One stage's `per_stage_counts` entry: what `cache` counted after the `earlier` stages.
+) -> None:
+    """Add `stage`'s entry to `counts` and log it as one line.
 
-    Given the grid `candidates` of an exhaustive stage, the entry also has
-    `pruned`, the candidates not among its `designs`.
+    The entry holds what `cache` counted after the stages already in
+    `counts`; given the grid `candidates` of an exhaustive stage, it also
+    has `pruned`, the candidates not among its `designs`. The log line
+    names each key and carries the entry's values in key order, e.g.
+    "binary search stage: 12 simulations, 30 designs, 12 dispatch runs".
     """
-    counts = {
-        "simulations": cache.unique_simulations - sum(c["simulations"] for c in earlier.values()),
+    entry = {
+        "simulations": cache.unique_simulations - sum(c["simulations"] for c in counts.values()),
         "designs": designs,
     }
     if candidates is not None:
-        counts["pruned"] = candidates - designs
-    counts["dispatch_runs"] = cache.dispatch_runs - sum(c["dispatch_runs"] for c in earlier.values())
-    return counts
+        entry["pruned"] = candidates - designs
+    entry["dispatch_runs"] = cache.dispatch_runs - sum(c["dispatch_runs"] for c in counts.values())
+    counts[stage] = entry
+    # the stage name goes in the format string itself, where log readers match it
+    fields = ", ".join(f"%d {key.replace('_', ' ')}" for key in entry)
+    log.info(f"{stage.replace('_', ' ')} stage: {fields}", *entry.values())
 
 
 def search_report(
@@ -340,37 +340,16 @@ def run_pipeline(
 
     coarse_levels = search_config.coarse_level_points
     coarse = exhaustive_search(cache, space, load, dispatch_config, coarse_levels, precision)
-    candidates = grid_size(space, coarse_levels, precision)
-    stage = counts["exhaustive"] = stage_counts(cache, counts, len(coarse), candidates)
-    log.info(
-        "exhaustive stage: %d designs simulated (%d grid points per DER), %d pruned, %d dispatch runs",
-        stage["simulations"],
-        coarse_levels,
-        stage["pruned"],
-        stage["dispatch_runs"],
-    )
+    record_stage(cache, counts, "exhaustive", len(coarse), coarse_levels ** len(space.ders))
 
     fine = build_grids(space, search_config.fine_level_points, precision)
     passes = len(space.ders) if search_config.outer_passes is None else search_config.outer_passes
     rng = random.Random(search_config.rng_seed)
     refined = binary_search_refine(cache, fine, coarse, rng, passes)
-    stage = counts["binary_search"] = stage_counts(cache, counts, len(refined))
-    log.info(
-        "binary search stage: %d new simulations, %d designs held, %d dispatch runs",
-        stage["simulations"],
-        len(refined),
-        stage["dispatch_runs"],
-    )
+    record_stage(cache, counts, "binary_search", len(refined))
 
-    local_seeds = non_dominated(refined)
-    polished = local_search(cache, fine, local_seeds, passes)
-    stage = counts["local_search"] = stage_counts(cache, counts, len(polished))
-    log.info(
-        "local search stage: %d new simulations over %d seeds, %d dispatch runs",
-        stage["simulations"],
-        len(local_seeds),
-        stage["dispatch_runs"],
-    )
+    polished = local_search(cache, fine, non_dominated(refined), passes)
+    record_stage(cache, counts, "local_search", len(polished))
 
     report = search_report(cache, counts, polished, search_config, started)
     log.info(

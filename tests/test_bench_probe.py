@@ -50,5 +50,13 @@ def test_probe_crosschecks_one_input_of_each_workload(bench, name, tmp_path, cap
     assert op.frontier.simulations is not None
     assert any(msg.endswith("dispatch runs") for msg, _ in op.frontier.logs)
     assert layers.crosscheck(op.summary, op.frontier) == []
+    # every stage the operation reports has a log line, so the log check compared something
+    reports = [op.frontier.report] if op.frontier.report is not None else op.summary["reports"]
+    stages = [stage for report in reports for stage in report.per_stage_counts]
+    expected = ["exhaustive"] if name == "desk-oracle" else ["exhaustive", "binary_search", "local_search"]
+    assert stages == expected
+    prefixes = {stage: prefix for prefix, stage in layers.STAGE_LOG_LINES.items()}
+    for stage in stages:
+        assert any(msg.startswith(prefixes[stage]) for msg, _ in op.frontier.logs), stage
     assert op.summary["simulator.pv_availability.calls"] == 1
     assert op.summary["simulator.cache.wasted_runs"] == 0

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 
 import pytest
 
@@ -90,6 +91,23 @@ def test_parse_needs_two_rows():
         parse_load_profile(text)
 
 
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (
+            parse_load_profile,
+            make_load_csv(["2024-01-01T00:00:00,10,5", "2024-01-01T01:00:00,12"]),
+            "line 2: expected 2 fields, got 3",
+        ),
+        (parse_load_profile, "", "line 1: empty load profile file"),
+        (parse_wind_series, "datetime,capacity_factor\n", "wind series has no data rows"),
+    ],
+)
+def test_parse_rejects_malformed_series(parse, text, message):
+    with pytest.raises(ParseError, match=re.escape(message)):
+        parse(text)
+
+
 def test_parse_accepts_zulu_timestamps():
     text = make_load_csv(["2024-01-01T00:00:00Z,10", "2024-01-01T00:30:00Z,11"])
     profile = parse_load_profile(text)
@@ -139,6 +157,15 @@ def test_wind_series_must_cover_horizon():
         "datetime,capacity_factor\n2024-01-01T00:00:00,0.2\n2024-01-01T01:00:00,0.6\n"
     )
     with pytest.raises(ValueError, match="cover"):
+        align_wind_series(times, factors, load)
+
+
+def test_wind_series_and_load_must_agree_on_timezones():
+    load = parse_load_profile(make_load_csv(["2024-01-01T00:00:00,10", "2024-01-01T01:00:00,10"]))
+    times, factors = parse_wind_series(
+        "datetime,capacity_factor\n2024-01-01T00:00:00Z,0.2\n2024-01-01T01:00:00Z,0.6\n"
+    )
+    with pytest.raises(ValueError, match="disagree on timezone-aware timestamps"):
         align_wind_series(times, factors, load)
 
 
@@ -351,6 +378,37 @@ def test_cli_filter_rejects_a_repeated_column(desk_cli_dir, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "line 1: empty results file"),
+        (
+            "sizing_grid_deficit_ratio,diesel_unused_ratio\n0.0000,0.1000\n",
+            "line 1: expected *_capacity_kw/kwh columns before the deficit column",
+        ),
+        (
+            "diesel_capacity_kw,sizing_grid_deficit_ratio\n60.0,0.0000\n",
+            "line 1: expected one *_unused_ratio column per DER after the deficit column",
+        ),
+        (
+            "diesel_capacity_kw,sizing_grid_deficit_ratio,diesel_unused_ratio\n60.0,0.0000\n",
+            "line 2: expected 3 fields, got 2",
+        ),
+        (
+            "diesel_capacity_kw,sizing_grid_deficit_ratio,diesel_unused_ratio\n60.0,low,0.1000\n",
+            "line 2: non-numeric value",
+        ),
+    ],
+)
+def test_cli_filter_rejects_malformed_results(tmp_path, capsys, text, message):
+    raw = tmp_path / "raw.csv"
+    raw.write_text(text, encoding="utf-8")
+    out = tmp_path / "filtered.csv"
+    assert main(["filter", str(raw), "--out", str(out)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_empty_results_write_header_only():
     text = results_csv_text(["x_capacity_kw"], ["x_unused_ratio"], [])
     assert text == "x_capacity_kw,sizing_grid_deficit_ratio,x_unused_ratio\n"
@@ -456,6 +514,12 @@ def test_cli_simulate_rejects_wrong_arity(desk_cli_dir):
     assert run_cli("simulate", "--config", config, "--capacities", "5,0") == 2
 
 
+def test_cli_simulate_rejects_non_numeric_capacities(desk_cli_dir, capsys):
+    config = str(desk_cli_dir / "config.json")
+    assert run_cli("simulate", "--config", config, "--capacities", "a,b,c") == 2
+    assert "--capacities must be comma-separated numbers, got 'a,b,c'" in capsys.readouterr().err
+
+
 def test_cli_filter_removes_dominated_rows(desk_cli_dir):
     raw = desk_cli_dir / "raw.csv"
     raw.write_text(
@@ -489,6 +553,15 @@ def test_cli_exhaustive_coarse_dominated_by_pipeline(desk_cli_dir):
         assert any(
             f.capacities == c.capacities or dominates(f, c) for f in fine
         ), f"coarse design {c.capacities} not covered"
+
+
+def test_cli_out_naming_a_directory_exits_2_and_leaves_no_temp_file(desk_cli_dir):
+    config = str(desk_cli_dir / "config.json")
+    target = desk_cli_dir / "taken"
+    target.mkdir()
+    assert run_cli("exhaustive", "--config", config, "--levels", "4", "--out", str(target)) == 2
+    assert target.is_dir() and not list(target.iterdir())
+    assert not list(desk_cli_dir.glob(".dersizer_*.part"))
 
 
 def test_cli_bad_config_exits_2(tmp_path):
@@ -537,6 +610,12 @@ def test_cli_bad_level_counts_and_precision_exit_2(desk_cli_dir, capsys, field, 
         ),
         ("capacity_precision", True, "config: capacity_precision must be a number, got True"),
         ("capacity_precision", "1", "config: capacity_precision must be a number, got '1'"),
+        pytest.param(
+            "deficit_display_threshold",
+            float("inf"),
+            "config.search: deficit_display_threshold must be finite and >= 0, got inf",
+            id="Infinity",
+        ),
     ],
 )
 def test_cli_non_numeric_search_inputs_exit_2(desk_cli_dir, capsys, field, value, message):
@@ -579,6 +658,9 @@ DISPATCH_KEYS = {f.name for f in dataclasses.fields(DispatchConfig)} | {"wind_se
         ("bess_min_soc", "0.1", "config.dispatch: bess_min_soc must be a number, got '0.1'"),
         ("wind_capacity_factor", "0.3", "config.dispatch: wind_capacity_factor must be a number, got '0.3'"),
         ("wind_capacity_factor", [0.1, None], "config.dispatch: wind_capacity_factor must be a number, got None"),
+        ("search", [1], "config: search must be an object"),
+        ("ders", [], "config: ders must be a non-empty list"),
+        ("ders", [5], "ders[0]: expected an object"),
     ],
 )
 def test_cli_config_type_errors_exit_2_and_name_the_field(desk_cli_dir, capsys, field, value, message):
@@ -590,6 +672,16 @@ def test_cli_config_type_errors_exit_2_and_name_the_field(desk_cli_dir, capsys, 
     out = desk_cli_dir / "x.csv"
     assert run_cli("size", "--config", str(bad), "--out", str(out)) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_config_root_must_be_an_object(desk_cli_dir, capsys):
+    doc = json.loads((desk_cli_dir / "config.json").read_text())
+    bad = desk_cli_dir / "bad.json"
+    bad.write_text(json.dumps([doc]), encoding="utf-8")
+    out = desk_cli_dir / "x.csv"
+    assert run_cli("size", "--config", str(bad), "--out", str(out)) == 2
+    assert "config root must be a JSON object" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -713,6 +805,14 @@ def test_cli_deficit_threshold_flag_overrides_the_config(desk_cli_dir):
         kept[threshold] = read_results_csv(out.read_text())[2]
     assert kept["0"] and all(d.deficit_ratio == 0 for d in kept["0"])
     assert any(d.deficit_ratio > 0.01 for d in kept["1"])
+
+
+def test_cli_non_finite_deficit_threshold_flag_exits_2(desk_cli_dir, capsys):
+    config = str(desk_cli_dir / "config.json")
+    out = desk_cli_dir / "x.csv"
+    assert run_cli("size", "--config", config, "--deficit-threshold", "inf", "--out", str(out)) == 2
+    assert "deficit_display_threshold must be finite and >= 0, got inf" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_default_output_path_resolves_relative_to_config(desk_cli_dir):

@@ -1,6 +1,8 @@
 """Algorithm traces on tiny instances, plus pipeline-level properties."""
 
 import itertools
+import logging
+import math
 import random
 
 import pytest
@@ -13,11 +15,10 @@ from dersizer.search import (
     binary_search_refine,
     build_grids,
     exhaustive_search,
-    grid_size,
     initial_step_size,
     local_search,
+    record_stage,
     run_pipeline,
-    stage_counts,
 )
 from dersizer.simulator import DispatchConfig, SimulationCache, memoized_operate
 from helpers import DESK_BESS_RATIO_H, constant_load, dominates, with_capacity
@@ -135,8 +136,10 @@ def test_exhaustive_diesel_innermost_matches_plain_order_with_fewer_runs(
     got = exhaustive_search(cache, space, desk_load, desk_dispatch, levels)
     assert got == plain
     assert cache.unique_simulations == plain_cache.unique_simulations == len(got)
-    candidates = grid_size(space, levels)
-    assert stage_counts(cache, {}, len(got), candidates)["pruned"] == candidates - len(plain) > 0
+    candidates = math.prod(len(g.points) for g in build_grids(space, levels))
+    counts = {}
+    record_stage(cache, counts, "exhaustive", len(got), candidates)
+    assert counts["exhaustive"]["pruned"] == candidates - len(plain) > 0
     assert cache.dispatch_runs < plain_cache.dispatch_runs
 
 
@@ -151,6 +154,16 @@ def test_exhaustive_refuses_oversized_product(diesel_space, monkeypatch):
     load, config = constant_load(0.0), DispatchConfig()
     with pytest.raises(SearchSpaceTooLarge):
         exhaustive_search(SimulationCache(two, load, config), two, load, config, 6)
+
+
+def test_exhaustive_rejects_a_negative_level_count_before_the_cap(diesel_space):
+    # (-20000) ** 2 candidates would exceed the cap, but the level count is invalid first
+    two = DesignSpace(
+        ders=(diesel_space.ders[0], DerSpec(name="other", kind=DerKind.PHOTOVOLTAIC, upper_bound=50.0))
+    )
+    load, config = constant_load(0.0), DispatchConfig()
+    with pytest.raises(ValueError, match="level_points must be >= 2, got -20000"):
+        exhaustive_search(SimulationCache(two, load, config), two, load, config, -20000)
 
 
 def test_exhaustive_refuses_a_cache_built_for_another_input(diesel_space):
@@ -365,6 +378,16 @@ def test_pipeline_final_set_has_no_dominated_pair(desk_load, desk_space, desk_di
     assert all(d.deficit_ratio <= 0.01 for d in finals)
 
 
+def test_stage_log_lines_carry_the_report_counts(desk_load, desk_space, desk_dispatch, caplog):
+    caplog.set_level(logging.INFO, logger="dersizer")
+    report = run_pipeline(desk_space, desk_load, desk_dispatch, SearchConfig(rng_seed=7))
+    assert list(report.per_stage_counts) == ["exhaustive", "binary_search", "local_search"]
+    for stage, counts in report.per_stage_counts.items():
+        prefix = stage.replace("_", " ") + " stage:"
+        [record] = [r for r in caplog.records if str(r.msg).startswith(prefix)]
+        assert record.args == tuple(counts.values()), stage
+
+
 def test_pipeline_seeded_determinism(desk_load, desk_space, desk_dispatch):
     config = SearchConfig(rng_seed=7)
     a = run_pipeline(desk_space, desk_load, desk_dispatch, config)
@@ -446,6 +469,8 @@ def test_search_config_validation():
         SearchConfig(deficit_display_threshold=-0.1)
     with pytest.raises(ValueError):
         SearchConfig(deficit_display_threshold=float("nan"))
+    with pytest.raises(ValueError, match="deficit_display_threshold must be finite and >= 0"):
+        SearchConfig(deficit_display_threshold=float("inf"))
     for field, value in (
         ("coarse_level_points", 3.0),
         ("fine_level_points", 11.0),
