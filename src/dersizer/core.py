@@ -162,7 +162,6 @@ class CapacityGrid:
     """Evenly spaced candidate capacities for one DER."""
 
     points: tuple[float, ...]
-    spacing: float
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "points", tuple(self.points))
@@ -254,7 +253,7 @@ def capacity_grid(
         points = [round(p / precision) * precision for p in points]
     points[0] = lo
     points[-1] = hi
-    return CapacityGrid(points=tuple(points), spacing=spacing)
+    return CapacityGrid(points=tuple(points))
 
 
 def deficit_ratio(outcome: SimulationOutcome, load: LoadProfile) -> float:

@@ -633,7 +633,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if len(caps) != len(space.ders):
         raise ValueError(f"--capacities needs {len(space.ders)} values, got {len(caps)}")
     design = MicrogridDesign(caps)
-    evaluated = memoized_operate(SimulationCache(space, load, dispatch), space, design, load, dispatch)
+    evaluated = memoized_operate(SimulationCache(space, load, dispatch), design=design)
     for name, cap in zip(capacity_columns(space), evaluated.capacities):
         print(f"{name} {_format_capacity(cap)}")
     print(f"{DEFICIT_COLUMN} {evaluated.deficit_ratio:.4f}")

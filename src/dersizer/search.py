@@ -119,13 +119,12 @@ def _evaluator(
     cache's key rounding merges two grid points, so a stage dedups its
     record's designs by capacities.
     """
-    space, load, config = cache.space, cache.load, cache.config
     record: dict[Levels, EvaluatedDesign] = {}
 
     def evaluate(levels: Levels) -> EvaluatedDesign:
         if levels not in record:
             design = MicrogridDesign(tuple([g.points[k] for g, k in zip(grids, levels)]))
-            record[levels] = memoized_operate(cache, space, design, load, config)
+            record[levels] = memoized_operate(cache, design=design)
         return record[levels]
 
     return evaluate, record
@@ -149,18 +148,20 @@ def exhaustive_search(
     Diesel DERs vary fastest, so all diesel levels of one non-diesel vector
     run back to back on its memoised pre-diesel dispatch; every
     all-descending order visits each raised neighbor first, so the order
-    changes no prune decision. Candidates go through `_evaluator`, on the
-    cache's own input, so ValueError is raised when `cache` serves another
-    (space, load, config). Returns the simulated designs in the order of a
-    plain descending enumeration (the first DER varying slowest).
+    changes no prune decision. Raises ValueError when `cache` serves
+    another (space, load, config), and SearchSpaceTooLarge, before building
+    any grid, for more than PRODUCT_SAFETY_CAP candidates. Returns the
+    simulated designs in the order of a plain descending enumeration (the
+    first DER varying slowest).
     """
     cache._check_input(space, load, dispatch_config)
-    grids = build_grids(space, level_points, precision)  # rejects a level count below 2
     total = level_points ** len(space.ders)
-    if total > PRODUCT_SAFETY_CAP:
+    # a level count below 2 is left to build_grids, which names it
+    if level_points >= 2 and total > PRODUCT_SAFETY_CAP:
         raise SearchSpaceTooLarge(
             f"exhaustive enumeration of {total} candidates exceeds the cap of {PRODUCT_SAFETY_CAP}"
         )
+    grids = build_grids(space, level_points, precision)
 
     evaluate, record = _evaluator(cache, grids)
     n_ders = len(space.ders)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import math
-import struct
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from datetime import datetime
@@ -346,10 +345,10 @@ class SimulationCache:
     """One search's evaluation state, for one (space, load, config) on one thread.
 
     Built for one input, whose invariants it computes once: the merit
-    indices, the PV and wind factors, the demand, the step hours (also as a
-    list for the battery recurrence) and the packing of the non-diesel key.
-    Raises ValueError when asked about another input; an equal but distinct
-    object is the same input. It holds:
+    indices, the PV and wind factors, the demand and the step hours (also
+    as a list for the battery recurrence). `operate` given the cache raises
+    ValueError for another input; an equal but distinct object is the same
+    input. It holds:
     - the metrics of every design evaluated, keyed by `key_for`;
     - a memo of the pre-diesel dispatch keyed by `non_diesel_key`, whose
       least recently used entries go once its arrays exceed
@@ -367,7 +366,6 @@ class SimulationCache:
         self.pv_idx, self.wind_idx, self.bess_idx, self.diesel_idx = _merit_indices(space)
         self.renewable_idx = self.pv_idx + self.wind_idx
         self.non_diesel_idx = self.renewable_idx + self.bess_idx
-        self._non_diesel_struct = struct.Struct(f"{len(self.non_diesel_idx)}d")
         self.pv_factors = pv_availability(load.times, config)
         self.wind_factors = wind_availability(len(load), config)
         self.demand = np.asarray(load.demand_kw, dtype=float)
@@ -376,9 +374,9 @@ class SimulationCache:
             arr.flags.writeable = False  # shared by every simulation of the search
         self.hours_list = self.hours.tolist()
         self._designs: dict[tuple[float, ...], EvaluatedDesign] = {}
-        self._pre_diesel: OrderedDict[bytes, _PreDiesel] = OrderedDict()
+        self._pre_diesel: OrderedDict[tuple[float, ...], _PreDiesel] = OrderedDict()
         self._pre_diesel_floats = 0
-        self._non_diesel_ratios: dict[bytes, dict[int, float]] = {}
+        self._non_diesel_ratios: dict[tuple[float, ...], dict[int, float]] = {}
         self.dispatch_runs = 0  # pre-diesel dispatches run; at most `unique_simulations`
 
     @staticmethod
@@ -386,9 +384,9 @@ class SimulationCache:
         # round for key stability; +0.0 folds -0.0 into 0.0
         return tuple([round(c, 6) + 0.0 for c in design.capacities])
 
-    def non_diesel_key(self, capacities: tuple[float, ...]) -> bytes:
-        """The non-diesel capacities packed bit for bit (-0.0 stays apart from 0.0)."""
-        return self._non_diesel_struct.pack(*[capacities[i] for i in self.non_diesel_idx])
+    def non_diesel_key(self, capacities: tuple[float, ...]) -> tuple[float, ...]:
+        """The non-diesel capacities as values: -0.0 and 0.0, which dispatch alike, share a key."""
+        return tuple([capacities[i] for i in self.non_diesel_idx])
 
     @property
     def unique_simulations(self) -> int:
@@ -399,13 +397,13 @@ class SimulationCache:
         if (space, load, config) != (self.space, self.load, self.config):
             raise ValueError("this SimulationCache serves another (space, load, config)")
 
-    def _recall(self, key: bytes) -> _PreDiesel | None:
+    def _recall(self, key: tuple[float, ...]) -> _PreDiesel | None:
         entry = self._pre_diesel.get(key)
         if entry is not None:
             self._pre_diesel.move_to_end(key)
         return entry
 
-    def _remember(self, key: bytes, entry: _PreDiesel) -> None:
+    def _remember(self, key: tuple[float, ...], entry: _PreDiesel) -> None:
         for arr in entry:
             arr.flags.writeable = False  # handed to every later hit
         self._pre_diesel[key] = entry
@@ -489,14 +487,8 @@ def operate(
     )
 
 
-def memoized_operate(
-    cache: SimulationCache,
-    space: DesignSpace,
-    design: MicrogridDesign,
-    load: LoadProfile,
-    config: DispatchConfig,
-) -> EvaluatedDesign:
-    """Evaluate a design through the cache, simulating only on a miss.
+def memoized_operate(cache: SimulationCache, *, design: MicrogridDesign) -> EvaluatedDesign:
+    """Evaluate a design on the cache's own input, simulating only on a miss.
 
     A miss runs `operate` once. The unused ratios of the non-diesel DERs are
     computed only for a non-diesel capacity vector the cache has not seen;
@@ -504,15 +496,13 @@ def memoized_operate(
     only its own rows. So a design that differs from an earlier one only in
     diesel capacity costs the diesel stage, its deficit ratio and the diesel
     unused ratios, and its metrics equal those of an evaluation without the
-    cache bit for bit. Raises ValueError, on a hit as on a miss, when
-    `cache` serves another (space, load, config).
+    cache bit for bit.
     """
-    cache._check_input(space, load, config)
     key = cache.key_for(design)
     hit = cache._designs.get(key)
     if hit is not None:
         return hit
-    outcome = operate(space, design, load, config, cache)
+    outcome = operate(cache.space, design, cache.load, cache.config, cache)
     caps = design.capacities
     non_diesel_key = cache.non_diesel_key(caps)
     non_diesel = cache._non_diesel_ratios.get(non_diesel_key)
@@ -520,6 +510,6 @@ def memoized_operate(
         non_diesel = {i: unused_ratio(outcome, i, caps[i]) for i in cache.non_diesel_idx}
         cache._non_diesel_ratios[non_diesel_key] = non_diesel
     ratios = [non_diesel[i] if i in non_diesel else unused_ratio(outcome, i, c) for i, c in enumerate(caps)]
-    evaluated = EvaluatedDesign(design, deficit_ratio(outcome, load), tuple(ratios))
+    evaluated = EvaluatedDesign(design, deficit_ratio(outcome, cache.load), tuple(ratios))
     cache._designs[key] = evaluated
     return evaluated

@@ -89,13 +89,7 @@ def check_rightsized(finals, desk_load, desk_space, desk_dispatch):
             lowered = grid.points[max(grid.level(cap) - 1, 0)]
             if lowered == cap:
                 continue  # clamped at the lower bound
-            probe = memoized_operate(
-                cache,
-                desk_space,
-                with_capacity(design.design, i, lowered),
-                desk_load,
-                desk_dispatch,
-            )
+            probe = memoized_operate(cache, design=with_capacity(design.design, i, lowered))
             if probe.deficit_ratio == 0:
                 violations.append((design.capacities, i))
     return violations
@@ -174,9 +168,7 @@ def test_criterion_4_prune_soundness(oracle, desk_load, desk_space, desk_dispatc
     cache = SimulationCache(desk_space, desk_load, desk_dispatch)
     unsound = []
     for caps in pruned:
-        evaluated = memoized_operate(
-            cache, desk_space, MicrogridDesign(caps), desk_load, desk_dispatch
-        )
+        evaluated = memoized_operate(cache, design=MicrogridDesign(caps))
         if evaluated.deficit_ratio == 0:
             unsound.append(caps)
 

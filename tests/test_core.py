@@ -39,14 +39,14 @@ def test_grid_six_points_twenty_percent_spacing():
     spec = DerSpec(name="d", kind=DerKind.DIESEL_GENERATOR, upper_bound=120.0)
     grid = capacity_grid(spec, 6)
     assert grid.points == (0.0, 24.0, 48.0, 72.0, 96.0, 120.0)
-    assert grid.spacing == 24.0
+    assert {b - a for a, b in zip(grid.points, grid.points[1:])} == {24.0}
 
 
 def test_grid_eleven_points_ten_percent_spacing():
     spec = DerSpec(name="d", kind=DerKind.DIESEL_GENERATOR, upper_bound=100.0)
     grid = capacity_grid(spec, 11)
     assert grid.points == tuple(float(v) for v in range(0, 101, 10))
-    assert grid.spacing == 10.0
+    assert {b - a for a, b in zip(grid.points, grid.points[1:])} == {10.0}
 
 
 def test_grid_degenerate_range_rejected():
@@ -80,7 +80,7 @@ def test_grid_invariants_random_specs():
         assert grid.points[-1] == hi
         diffs = [b - a for a, b in zip(grid.points, grid.points[1:])]
         for d in diffs:
-            assert math.isclose(d, grid.spacing, rel_tol=1e-9)
+            assert math.isclose(d, (hi - lo) / (points - 1), rel_tol=1e-9)
         # every grid point is its own level
         for k, p in enumerate(grid.points):
             assert grid.level(p) == k
@@ -319,7 +319,7 @@ def test_non_dominated_matches_bruteforce():
 
 def grid_of(*points):
     pts = tuple(float(p) for p in points)
-    return CapacityGrid(points=pts, spacing=pts[1] - pts[0])
+    return CapacityGrid(points=pts)
 
 
 def test_snap_nearest():

@@ -101,7 +101,7 @@ def test_exhaustive_enumeration_order_first_der_descends_slowest():
     ]
 
 
-def plain_descending_exhaustive(cache, space, load, config, level_points):
+def plain_descending_exhaustive(cache, space, level_points):
     """The pruned enumeration with the first DER varying slowest, through `cache`."""
     grids = build_grids(space, level_points)
     tops = tuple(g.n_intervals for g in grids)
@@ -112,7 +112,7 @@ def plain_descending_exhaustive(cache, space, load, config, level_points):
             deficient.add(idx)
             continue
         design = MicrogridDesign(tuple(g.points[k] for g, k in zip(grids, idx)))
-        evaluated = memoized_operate(cache, space, design, load, config)
+        evaluated = memoized_operate(cache, design=design)
         simulated.append(evaluated)
         if evaluated.deficit_ratio > 0:
             deficient.add(idx)
@@ -131,7 +131,7 @@ def test_exhaustive_diesel_innermost_matches_plain_order_with_fewer_runs(
     monkeypatch.setattr(simulator, "PRE_DIESEL_MEMO_FLOATS", 3 * 4 * len(desk_load))
     levels = 7 if len(order) == 3 else 5
     plain_cache = SimulationCache(space, desk_load, desk_dispatch)
-    plain = plain_descending_exhaustive(plain_cache, space, desk_load, desk_dispatch, levels)
+    plain = plain_descending_exhaustive(plain_cache, space, levels)
     cache = SimulationCache(space, desk_load, desk_dispatch)
     got = exhaustive_search(cache, space, desk_load, desk_dispatch, levels)
     assert got == plain
@@ -154,6 +154,19 @@ def test_exhaustive_refuses_oversized_product(diesel_space, monkeypatch):
     load, config = constant_load(0.0), DispatchConfig()
     with pytest.raises(SearchSpaceTooLarge):
         exhaustive_search(SimulationCache(two, load, config), two, load, config, 6)
+
+
+def test_exhaustive_refuses_an_oversized_product_before_building_grids(diesel_space, monkeypatch):
+    def unbuilt(*args):
+        raise AssertionError("grids built for an enumeration over the cap")
+
+    monkeypatch.setattr(search, "build_grids", unbuilt)
+    two = DesignSpace(
+        ders=(diesel_space.ders[0], DerSpec(name="other", kind=DerKind.PHOTOVOLTAIC, upper_bound=50.0))
+    )
+    load, config = constant_load(0.0), DispatchConfig()
+    with pytest.raises(SearchSpaceTooLarge):
+        exhaustive_search(SimulationCache(two, load, config), two, load, config, 2_000_000)
 
 
 def test_exhaustive_rejects_a_negative_level_count_before_the_cap(diesel_space):
@@ -188,7 +201,7 @@ def test_binary_search_descends_to_minimal_feasible(diesel_space):
     # 60 then overshoots, h=2 and h=1 both reject; 60 is minimal feasible
     load = constant_load(55.0)
     cache = SimulationCache(diesel_space, load, DispatchConfig())
-    seed = memoized_operate(cache, diesel_space, MicrogridDesign((100.0,)), load, DispatchConfig())
+    seed = memoized_operate(cache, design=MicrogridDesign((100.0,)))
     out = binary_search_refine(cache, build_grids(diesel_space, 11), [seed], random.Random(0), 1)
     assert caps_of(out) == [(20.0,), (40.0,), (50.0,), (60.0,), (100.0,)]
     assert cache.unique_simulations == 5
@@ -201,7 +214,7 @@ def test_binary_search_flips_direction_at_upper_bound(diesel_space):
     # back down to the minimal feasible design
     load = constant_load(55.0)
     cache = SimulationCache(diesel_space, load, DispatchConfig())
-    seed = memoized_operate(cache, diesel_space, MicrogridDesign((0.0,)), load, DispatchConfig())
+    seed = memoized_operate(cache, design=MicrogridDesign((0.0,)))
     out = binary_search_refine(cache, build_grids(diesel_space, 11), [seed], random.Random(0), 1)
     assert caps_of(out) == [(0.0,), (20.0,), (40.0,), (50.0,), (60.0,), (80.0,), (100.0,)]
     assert cache.unique_simulations == 7
@@ -212,7 +225,7 @@ def test_binary_search_flips_direction_at_upper_bound(diesel_space):
 def test_binary_search_feasible_lower_bound_stays_put(diesel_space):
     load = constant_load(0.0)
     cache = SimulationCache(diesel_space, load, DispatchConfig())
-    seed = memoized_operate(cache, diesel_space, MicrogridDesign((0.0,)), load, DispatchConfig())
+    seed = memoized_operate(cache, design=MicrogridDesign((0.0,)))
     out = binary_search_refine(cache, build_grids(diesel_space, 11), [seed], random.Random(0), 1)
     assert caps_of(out) == [(0.0,)]
     assert cache.unique_simulations == 1
@@ -221,7 +234,7 @@ def test_binary_search_feasible_lower_bound_stays_put(diesel_space):
 def test_binary_search_snaps_offgrid_seeds(diesel_space):
     load = constant_load(55.0)
     cache = SimulationCache(diesel_space, load, DispatchConfig())
-    seed = memoized_operate(cache, diesel_space, MicrogridDesign((94.0,)), load, DispatchConfig())
+    seed = memoized_operate(cache, design=MicrogridDesign((94.0,)))
     out = binary_search_refine(cache, build_grids(diesel_space, 11), [seed], random.Random(0), 1)
     keys = {d.capacities for d in out}
     assert (90.0,) in keys  # 94 snapped down to the nearest fine point
@@ -258,7 +271,7 @@ def test_binary_search_deterministic_for_fixed_rng(desk_load, desk_space, desk_d
 def test_local_search_descends_single_levels(diesel_space):
     load = constant_load(50.0)
     cache = SimulationCache(diesel_space, load, DispatchConfig())
-    seed = memoized_operate(cache, diesel_space, MicrogridDesign((100.0,)), load, DispatchConfig())
+    seed = memoized_operate(cache, design=MicrogridDesign((100.0,)))
     out = local_search(cache, build_grids(diesel_space, 6), [seed], 1)
     assert caps_of(out) == [(40.0,), (60.0,), (80.0,), (100.0,)]
     assert cache.unique_simulations == 4
@@ -269,7 +282,7 @@ def test_local_search_descends_single_levels(diesel_space):
 def test_local_search_skips_deficit_seeds(diesel_space):
     load = constant_load(150.0)
     cache = SimulationCache(diesel_space, load, DispatchConfig())
-    seed = memoized_operate(cache, diesel_space, MicrogridDesign((100.0,)), load, DispatchConfig())
+    seed = memoized_operate(cache, design=MicrogridDesign((100.0,)))
     out = local_search(cache, build_grids(diesel_space, 6), [seed], 1)
     assert caps_of(out) == [(100.0,)]
     assert cache.unique_simulations == 1
@@ -278,7 +291,7 @@ def test_local_search_skips_deficit_seeds(diesel_space):
 def test_local_search_lower_bound_seed_generates_nothing(diesel_space):
     load = constant_load(0.0)
     cache = SimulationCache(diesel_space, load, DispatchConfig())
-    seed = memoized_operate(cache, diesel_space, MicrogridDesign((0.0,)), load, DispatchConfig())
+    seed = memoized_operate(cache, design=MicrogridDesign((0.0,)))
     out = local_search(cache, build_grids(diesel_space, 6), [seed], 1)
     assert caps_of(out) == [(0.0,)]
     assert cache.unique_simulations == 1
@@ -291,7 +304,7 @@ def test_local_search_second_pass_recovers_cross_der_slack(desk_load, desk_space
     cache = SimulationCache(desk_space, desk_load, desk_dispatch)
     grids = build_grids(desk_space, 11)
     start = MicrogridDesign(tuple(g.points[-1] for g in grids))
-    seed = memoized_operate(cache, desk_space, start, desk_load, desk_dispatch)
+    seed = memoized_operate(cache, design=start)
     out = local_search(cache, grids, [seed], 3)
     finals = [d for d in out if d.deficit_ratio == 0]
     best = min(finals, key=lambda d: sum(d.capacities))
@@ -299,13 +312,7 @@ def test_local_search_second_pass_recovers_cross_der_slack(desk_load, desk_space
         lowered = grid.points[max(grid.level(best.capacities[i]) - 1, 0)]
         if lowered == best.capacities[i]:
             continue  # clamped at the lower bound
-        probe = memoized_operate(
-            cache,
-            desk_space,
-            with_capacity(best.design, i, lowered),
-            desk_load,
-            desk_dispatch,
-        )
+        probe = memoized_operate(cache, design=with_capacity(best.design, i, lowered))
         assert probe.deficit_ratio > 0
 
 
@@ -318,7 +325,7 @@ def test_local_search_seed_midway_between_levels_starts_from_the_lower_one():
     assert 250.0 - points[5] == points[6] - 250.0
     load = constant_load(100.0)
     cache = SimulationCache(space, load, DispatchConfig())
-    seed = memoized_operate(cache, space, MicrogridDesign((250.0,)), load, DispatchConfig())
+    seed = memoized_operate(cache, design=MicrogridDesign((250.0,)))
     out = local_search(cache, grids, [seed], 1)
     # levels 4 and 3 serve the 100 kW load; level 2 (90.9 kW) has a deficit and
     # ends the walk. The off-grid seed is not returned.
@@ -340,10 +347,10 @@ def test_each_refinement_stage_evaluates_each_distinct_vector_once(monkeypatch, 
 
         return wrapped
 
-    def counted(cache, space, design, load, config):
+    def counted(cache, *, design):
         if stage[0] is not None:
             calls[stage[0]].append(design.capacities)
-        return memoized_operate(cache, space, design, load, config)
+        return memoized_operate(cache, design=design)
 
     monkeypatch.setattr(search, "binary_search_refine", entering("binary_search", binary_search_refine))
     monkeypatch.setattr(search, "local_search", entering("local_search", local_search))
@@ -419,6 +426,34 @@ def test_pipeline_fingerprint_independent_of_memo_budget(
     assert runs < memoized.all_simulated
 
 
+def test_outer_passes_override(desk_load, desk_space, desk_dispatch, monkeypatch):
+    default = run_pipeline(desk_space, desk_load, desk_dispatch, SearchConfig(rng_seed=7))
+    explicit = run_pipeline(
+        desk_space, desk_load, desk_dispatch, SearchConfig(rng_seed=7, outer_passes=len(desk_space.ders))
+    )
+    assert explicit.per_stage_counts == default.per_stage_counts
+    assert explicit.all_simulated == default.all_simulated
+    assert repr(explicit.final_designs) == repr(default.final_designs)
+
+    refined = {}
+
+    def recording(cache, grids, seeds, rng, passes):
+        out = binary_search_refine(cache, grids, seeds, rng, passes)
+        refined[passes] = {d.capacities for d in out}
+        return out
+
+    monkeypatch.setattr(search, "binary_search_refine", recording)
+    one = run_pipeline(desk_space, desk_load, desk_dispatch, SearchConfig(rng_seed=7, outer_passes=1))
+    three = run_pipeline(desk_space, desk_load, desk_dispatch, SearchConfig(rng_seed=7, outer_passes=3))
+    # every pass restarts from the snapped seed with the next DER order of the
+    # seed's own rng, so one pass walks a prefix of what three passes walk
+    assert refined[1] < refined[3]
+    assert [len(refined[1]), len(refined[3])] == [
+        r.per_stage_counts["binary_search"]["designs"] for r in (one, three)
+    ]
+    assert one.all_simulated < three.all_simulated
+
+
 def test_pipeline_degenerate_levels_stay_on_coarse_grid(desk_load, desk_space, desk_dispatch):
     config = SearchConfig(coarse_level_points=6, fine_level_points=6, rng_seed=3)
     report = run_pipeline(desk_space, desk_load, desk_dispatch, config)
@@ -454,7 +489,7 @@ def test_pipeline_finals_lie_on_the_fine_grid_and_are_rightsized(desk_load, desk
             if not below:
                 continue  # at the lower bound
             lowered = with_capacity(d.design, i, below[-1])
-            probe = memoized_operate(cache, space, lowered, desk_load, desk_dispatch)
+            probe = memoized_operate(cache, design=lowered)
             assert probe.deficit_ratio > 0, (d.capacities, i)
 
 

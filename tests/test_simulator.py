@@ -299,8 +299,8 @@ def test_monotonicity_fails_with_slow_battery_on_two_week_profile():
     assert raised.capacities == (33.1875, 99.375, 200.75)
     config = DispatchConfig()
     cache = SimulationCache(space, load, config)
-    assert memoized_operate(cache, space, design, load, config).deficit_ratio == 0.45634920634920634
-    assert memoized_operate(cache, space, raised, load, config).deficit_ratio == 0.45674603174603173
+    assert memoized_operate(cache, design=design).deficit_ratio == 0.45634920634920634
+    assert memoized_operate(cache, design=raised).deficit_ratio == 0.45674603174603173
 
 
 # ---------------------------------------------------------------------------
@@ -309,37 +309,34 @@ def test_monotonicity_fails_with_slow_battery_on_two_week_profile():
 def test_cache_counts_unique_designs_once(desk_load, desk_space, desk_dispatch):
     cache = SimulationCache(desk_space, desk_load, desk_dispatch)
     design = MicrogridDesign((90.0, 0.0, 0.0))
-    first = memoized_operate(cache, desk_space, design, desk_load, desk_dispatch)
-    second = memoized_operate(cache, desk_space, design, desk_load, desk_dispatch)
+    first = memoized_operate(cache, design=design)
+    second = memoized_operate(cache, design=design)
     assert cache.unique_simulations == 1
     assert second is first  # hit returns the identical cached metrics
     other = MicrogridDesign((90.0, 26.5, 0.0))
-    memoized_operate(cache, desk_space, other, desk_load, desk_dispatch)
+    memoized_operate(cache, design=other)
     assert cache.unique_simulations == 2
 
 
 def test_cache_repeated_lookups_counted_once(desk_load, desk_space, desk_dispatch):
     cache = SimulationCache(desk_space, desk_load, desk_dispatch)
     design = MicrogridDesign((90.0, 53.0, 88.0))
-    results = [
-        memoized_operate(cache, desk_space, design, desk_load, desk_dispatch) for _ in range(16)
-    ]
+    results = [memoized_operate(cache, design=design) for _ in range(16)]
     assert (cache.unique_simulations, cache.dispatch_runs) == (1, 1)
     assert all(r.capacities == design.capacities for r in results)
     assert len({id(r) for r in results}) == 1
     # another diesel level is a new simulation but reuses the pre-diesel dispatch
-    memoized_operate(cache, desk_space, with_capacity(design, 0, 45.0), desk_load, desk_dispatch)
+    memoized_operate(cache, design=with_capacity(design, 0, 45.0))
     assert (cache.unique_simulations, cache.dispatch_runs) == (2, 1)
 
 
 def test_cache_rejects_a_second_input(desk_load, desk_space, desk_dispatch):
     cache = SimulationCache(desk_space, desk_load, desk_dispatch)
     seen = MicrogridDesign((90.0, 53.0, 88.0))
-    memoized_operate(cache, desk_space, seen, desk_load, desk_dispatch)
+    memoized_operate(cache, design=seen)
     # an equal but distinct config is the same input
-    unseen = with_capacity(seen, 0, 45.0)
-    memoized_operate(cache, desk_space, unseen, desk_load, DispatchConfig())
-    unseen = with_capacity(unseen, 1, 26.5)
+    operate(desk_space, with_capacity(seen, 0, 45.0), desk_load, DispatchConfig(), cache)
+    unseen = with_capacity(seen, 1, 26.5)
 
     wider = DesignSpace(ders=(replace(desk_space.ders[0], upper_bound=95.0), *desk_space.ders[1:]))
     busier = LoadProfile(
@@ -353,12 +350,9 @@ def test_cache_rejects_a_second_input(desk_load, desk_space, desk_dispatch):
         (desk_space, busier, desk_dispatch),
         (desk_space, desk_load, dimmer),
     ):
-        for design in (seen, unseen):  # the design-hit path, then the miss path
-            with pytest.raises(ValueError, match="another"):
-                memoized_operate(cache, space, design, load, config)
         with pytest.raises(ValueError, match="another"):
             operate(space, unseen, load, config, cache)
-    assert (cache.unique_simulations, cache.dispatch_runs) == (2, 1)
+    assert (cache.unique_simulations, cache.dispatch_runs) == (1, 1)
 
 
 def test_cache_key_folds_negative_zero():
@@ -370,7 +364,7 @@ def test_cache_key_folds_negative_zero():
 def test_memoized_metrics_match_direct_computation(desk_load, desk_space, desk_dispatch):
     cache = SimulationCache(desk_space, desk_load, desk_dispatch)
     design = MicrogridDesign((45.0, 106.0, 176.0))
-    evaluated = memoized_operate(cache, desk_space, design, desk_load, desk_dispatch)
+    evaluated = memoized_operate(cache, design=design)
     outcome = operate(desk_space, design, desk_load, desk_dispatch)
     assert evaluated.deficit_ratio == deficit_ratio(outcome, desk_load)
     for i in range(len(desk_space.ders)):
@@ -380,10 +374,10 @@ def test_memoized_metrics_match_direct_computation(desk_load, desk_space, desk_d
 def test_memoized_operate_rejects_a_negative_capacity_and_caches_nothing(desk_load, desk_space, desk_dispatch):
     cache = SimulationCache(desk_space, desk_load, desk_dispatch)
     with pytest.raises(ValueError, match="battery: capacity"):
-        memoized_operate(cache, desk_space, MicrogridDesign((45.0, 106.0, -5e-10)), desk_load, desk_dispatch)
+        memoized_operate(cache, design=MicrogridDesign((45.0, 106.0, -5e-10)))
     assert (cache.unique_simulations, cache.dispatch_runs) == (0, 0)
     assert not cache._pre_diesel and not cache._non_diesel_ratios
-    evaluated = memoized_operate(cache, desk_space, MicrogridDesign((45.0, 106.0, -0.0)), desk_load, desk_dispatch)
+    evaluated = memoized_operate(cache, design=MicrogridDesign((45.0, 106.0, -0.0)))
     assert evaluated.unused_ratios[2] == -1.0
 
 
@@ -397,10 +391,10 @@ def test_diesel_only_change_computes_only_the_diesel_unused_ratio(desk_load, des
 
     monkeypatch.setattr(simulator, "unused_ratio", counting_unused_ratio)
     design = MicrogridDesign((90.0, 106.0, 176.0))
-    first = memoized_operate(cache, desk_space, design, desk_load, desk_dispatch)
+    first = memoized_operate(cache, design=design)
     assert sorted(computed) == [0, 1, 2]
     computed.clear()
-    second = memoized_operate(cache, desk_space, with_capacity(design, 0, 45.0), desk_load, desk_dispatch)
+    second = memoized_operate(cache, design=with_capacity(design, 0, 45.0))
     assert computed == [0]  # the solar and battery ratios come from the table
     assert second.unused_ratios[1:] == first.unused_ratios[1:]
     assert (cache.unique_simulations, cache.dispatch_runs, len(cache._non_diesel_ratios)) == (2, 1, 1)
@@ -514,7 +508,7 @@ def test_operate_bitwise_equals_folded_dispatch_step():
                 assert (a.dtype, a.shape) == (b.dtype, b.shape), field
                 assert a.tobytes() == b.tobytes(), (field, design)
 
-            evaluated = memoized_operate(SimulationCache(space, load, config), space, design, load, config)
+            evaluated = memoized_operate(SimulationCache(space, load, config), design=design)
             assert evaluated.deficit_ratio == deficit_ratio(want, load)
             assert evaluated.unused_ratios == tuple(
                 unused_ratio(want, i, c) for i, c in enumerate(design.capacities)
@@ -612,7 +606,7 @@ def test_operate_with_memo_bitwise_equals_without(monkeypatch):
         for _ in range(40):
             if visited and rng.random() < 0.6:  # same non-diesel vector, new diesel levels
                 caps = list(rng.choice(visited))
-                if rng.random() < 0.3:  # flip the sign of every zero: another memo key
+                if rng.random() < 0.3:  # flip the sign of every zero: the same memo key
                     caps = [-c if c == 0.0 else c for c in caps]
                 for i, kind in enumerate(kinds):
                     if kind is DerKind.DIESEL_GENERATOR:
@@ -625,11 +619,8 @@ def test_operate_with_memo_bitwise_equals_without(monkeypatch):
                 visited.append(tuple(caps))
             design = MicrogridDesign(tuple(caps))
 
-            key = tuple(
-                (c, math.copysign(1.0, c))  # -0.0 is a vector of its own
-                for k, c in zip(kinds, caps)
-                if k is not DerKind.DIESEL_GENERATOR
-            )
+            # keyed by value: -0.0 and 0.0 are one vector
+            key = tuple(c for k, c in zip(kinds, caps) if k is not DerKind.DIESEL_GENERATOR)
             if not any(c != 0.0 for k, c in zip(kinds, caps) if k is DerKind.BATTERY_STORAGE):
                 expected_runs += 1
             elif key not in seen:
@@ -655,8 +646,8 @@ def reuse_cases(draw):
     """(space, load, config, designs): a few non-diesel vectors, each met at several diesel levels.
 
     Spaces have 0-2 PV, optional wind, 0-2 batteries and 1-2 diesels.
-    Battery capacities include 0.0 and -0.0, which the pre-diesel memo keys
-    apart.
+    Battery capacities include 0.0 and -0.0, which share a key in the
+    pre-diesel memo.
     """
     bound = st.floats(20.0, 400.0)
     ratio = st.sampled_from([0.25, 0.5, 2.0]) | st.floats(0.1, 8.0)
@@ -708,7 +699,7 @@ def test_memoized_reuse_equals_cache_free_metrics_property(case, memo_entries):
     with mock.patch.object(simulator, "PRE_DIESEL_MEMO_FLOATS", budget):
         cache = SimulationCache(space, load, config)
         for design in designs:
-            got = memoized_operate(cache, space, design, load, config)
+            got = memoized_operate(cache, design=design)
             # a design the cache has met under an equal key returns that first design
             design = first.setdefault(SimulationCache.key_for(design), design)
             outcome = operate(space, design, load, config)
