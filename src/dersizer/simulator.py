@@ -1,4 +1,4 @@
-"""Reference microgrid operation simulator.
+"""Microgrid operation simulator.
 
 Implements a deterministic dispatch policy (renewables, then battery, then
 diesel), plus the single-threaded cache that holds one search's evaluation
@@ -9,10 +9,9 @@ durations in seconds.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime
 from typing import NamedTuple, Sequence
 
@@ -21,7 +20,6 @@ import numpy as np
 from .core import (
     EPS_POWER,
     DerKind,
-    DerSpec,
     DesignSpace,
     EvaluatedDesign,
     LoadProfile,
@@ -34,7 +32,7 @@ from .core import (
 
 @dataclass(frozen=True)
 class DispatchConfig:
-    """Tunable parameters of the reference dispatch policy."""
+    """Tunable parameters of the dispatch policy."""
 
     pv_daylight_start: float = 6.0
     pv_daylight_end: float = 18.0
@@ -68,16 +66,6 @@ class DispatchConfig:
             raise ValueError("bess_min_soc must satisfy 0 <= min_soc < initial_soc")
 
 
-@dataclass(frozen=True)
-class BessState:
-    """Battery energy state; power limits derive from capacity and ratios."""
-
-    energy_stored: float
-    energy_capacity: float
-    max_charge_power: float
-    max_discharge_power: float
-
-
 def pv_availability(times: Sequence[datetime], config: DispatchConfig) -> np.ndarray:
     """Per-step PV output fraction: clamped half-sine over the daylight window."""
     start, end = config.pv_daylight_start, config.pv_daylight_end
@@ -100,103 +88,12 @@ def wind_availability(n_steps: int, config: DispatchConfig) -> np.ndarray:
     return np.full(n_steps, float(wf))
 
 
-def initial_bess_state(spec: DerSpec, capacity: float, config: DispatchConfig) -> BessState:
-    if spec.kind is not DerKind.BATTERY_STORAGE:
-        raise ValueError(f"{spec.name} is not battery storage")
-    return BessState(
-        energy_stored=config.bess_initial_soc * capacity,
-        energy_capacity=capacity,
-        max_charge_power=capacity / spec.charge_ratio,
-        max_discharge_power=capacity / spec.discharge_ratio,
-    )
-
-
-def discharge_capability_kw(state: BessState, config: DispatchConfig, duration_s: float) -> float:
-    """Max power the battery could deliver this step without breaching min SoC."""
-    usable = state.energy_stored - config.bess_min_soc * state.energy_capacity
-    if usable <= 0:
-        return 0.0
-    hours = duration_s / 3600.0
-    return min(state.max_discharge_power, usable * config.bess_discharge_efficiency / hours)
-
-
-@functools.lru_cache(maxsize=64)
-def _merit_indices(space: DesignSpace) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    merit = (DerKind.PHOTOVOLTAIC, DerKind.WIND_TURBINE, DerKind.BATTERY_STORAGE, DerKind.DIESEL_GENERATOR)
-    return tuple(tuple(i for i, d in enumerate(space.ders) if d.kind is kind) for kind in merit)
-
-
-def dispatch_step(
-    space: DesignSpace,
-    demand_kw: float,
-    availabilities: Sequence[float],
-    bess_states: tuple[BessState, ...],
-    config: DispatchConfig,
-    duration_s: float,
-) -> tuple[tuple[float, ...], tuple[BessState, ...], int]:
-    """Serve one step of demand and return (per-DER used kW, new states, deficit flag).
-
-    Merit order: PV, then wind, serve load up to availability; leftover
-    renewable surplus charges the batteries; batteries discharge for the
-    remaining load; diesel covers the rest up to nameplate. Battery entries
-    in `availabilities` are ignored (limits come from the state). Renewable
-    power spent charging is reported as used.
-    """
-    pv_idx, wind_idx, bess_idx, diesel_idx = _merit_indices(space)
-    hours = duration_s / 3600.0
-    used = [0.0] * len(space.ders)
-
-    remaining = demand_kw
-    for i in pv_idx + wind_idx:
-        take = min(remaining, availabilities[i])
-        if take > 0:
-            used[i] = take
-            remaining -= take
-
-    new_states = list(bess_states)
-    eta_c = config.bess_charge_efficiency
-    for b in range(len(bess_idx)):
-        state = new_states[b]
-        headroom = state.energy_capacity - state.energy_stored
-        if headroom <= 0:
-            continue
-        budget = min(state.max_charge_power, headroom / (eta_c * hours))
-        charged = 0.0
-        for j in pv_idx + wind_idx:
-            surplus = availabilities[j] - used[j]
-            take = min(surplus, budget - charged)
-            if take > 0:
-                used[j] += take
-                charged += take
-        if charged > 0:
-            new_states[b] = replace(state, energy_stored=state.energy_stored + charged * eta_c * hours)
-
-    eta_d = config.bess_discharge_efficiency
-    for b, i in enumerate(bess_idx):
-        if remaining <= 0:
-            break
-        state = new_states[b]
-        give = min(remaining, discharge_capability_kw(state, config, duration_s))
-        if give > 0:
-            used[i] = give
-            remaining -= give
-            new_states[b] = replace(state, energy_stored=state.energy_stored - give * hours / eta_d)
-
-    for i in diesel_idx:
-        take = min(remaining, availabilities[i])
-        if take > 0:
-            used[i] = take
-            remaining -= take
-
-    flag = 1 if remaining > EPS_POWER else 0
-    return tuple(used), tuple(new_states), flag
-
-
 def _serve(available: np.ndarray | float, used: np.ndarray, remaining: np.ndarray) -> np.ndarray:
     """One stateless unit covers what it can of the remaining load at every step.
 
     Writes the unit's draw into `used` and returns the new remaining load,
-    with the same float operations `dispatch_step` applies per step.
+    with the same float operations that `dispatch_step` in
+    `tests/reference.py` applies per step.
     """
     take = np.minimum(remaining, available)
     served = take > 0
@@ -234,7 +131,7 @@ def _step_batteries(
     the loop with `discharge_capability_kw`'s operations in its order. Each
     `min(a, b)` of `dispatch_step` is written as a conditional that keeps
     `min`'s tie rule (a wins unless b < a), so every value is bitwise equal
-    to the folded `dispatch_step`.
+    to the folded `dispatch_step`, the specification in `tests/reference.py`.
     """
     space, config = cache.space, cache.config
     renewables = cache.renewable_idx
@@ -363,7 +260,10 @@ class SimulationCache:
 
     def __init__(self, space: DesignSpace, load: LoadProfile, config: DispatchConfig) -> None:
         self.space, self.load, self.config = space, load, config
-        self.pv_idx, self.wind_idx, self.bess_idx, self.diesel_idx = _merit_indices(space)
+        merit = (DerKind.PHOTOVOLTAIC, DerKind.WIND_TURBINE, DerKind.BATTERY_STORAGE, DerKind.DIESEL_GENERATOR)
+        self.pv_idx, self.wind_idx, self.bess_idx, self.diesel_idx = (
+            tuple(i for i, d in enumerate(space.ders) if d.kind is kind) for kind in merit
+        )
         self.renewable_idx = self.pv_idx + self.wind_idx
         self.non_diesel_idx = self.renewable_idx + self.bess_idx
         self.pv_factors = pv_availability(load.times, config)
@@ -422,7 +322,8 @@ def operate(
 ) -> SimulationOutcome:
     """Fold the dispatch policy over the whole load horizon.
 
-    Bitwise equal to folding `dispatch_step` over time, its specification.
+    Bitwise equal to folding `dispatch_step` over time, its specification,
+    which `tests/reference.py` holds.
     The stateless stages (renewables, then diesel, each serving load in
     merit order) run elementwise over all steps at once; only the battery
     state is stepped in time, and only at steps where a battery can act:

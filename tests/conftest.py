@@ -8,7 +8,7 @@ import pytest
 
 from dersizer import DerKind, DerSpec, DesignSpace, DispatchConfig, LoadProfile
 from dersizer.synthetic import load_profile_csv, synthetic_load_profile
-from helpers import DESK_BESS_RATIO_H, ceil_to, desk_config_document
+from helpers import desk_config_document, space_for
 
 # One-day benchmark instance: 48 half-hour steps with a small overnight base,
 # a tall working-hours hump and an evening peak. Battery ratios of 0.5 h
@@ -29,23 +29,6 @@ DESK_PROFILE_KWARGS = dict(
 )
 
 
-def desk_space_for(load: LoadProfile) -> DesignSpace:
-    peak = load.peak_kw
-    return DesignSpace(
-        ders=(
-            DerSpec(name="diesel", kind=DerKind.DIESEL_GENERATOR, upper_bound=ceil_to(peak)),
-            DerSpec(name="solar", kind=DerKind.PHOTOVOLTAIC, upper_bound=ceil_to(peak * 3)),
-            DerSpec(
-                name="battery",
-                kind=DerKind.BATTERY_STORAGE,
-                upper_bound=ceil_to(peak * 5),
-                charge_ratio=DESK_BESS_RATIO_H,
-                discharge_ratio=DESK_BESS_RATIO_H,
-            ),
-        )
-    )
-
-
 @pytest.fixture(scope="session")
 def desk_load() -> LoadProfile:
     return synthetic_load_profile(**DESK_PROFILE_KWARGS)
@@ -53,7 +36,7 @@ def desk_load() -> LoadProfile:
 
 @pytest.fixture(scope="session")
 def desk_space(desk_load) -> DesignSpace:
-    return desk_space_for(desk_load)
+    return space_for(desk_load)
 
 
 @pytest.fixture(scope="session")

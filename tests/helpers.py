@@ -7,7 +7,7 @@ from datetime import datetime, timedelta
 
 import numpy as np
 
-from dersizer import LoadProfile
+from dersizer import DerKind, DerSpec, DesignSpace, LoadProfile
 from dersizer.core import EvaluatedDesign, MicrogridDesign, SimulationOutcome
 
 # Battery ratio of the one-day desk instance (see conftest.py).
@@ -16,6 +16,24 @@ DESK_BESS_RATIO_H = 0.5
 
 def ceil_to(value: float, quantum: float = 5.0) -> float:
     return math.ceil(value / quantum - 1e-9) * quantum
+
+
+def space_for(load: LoadProfile, bess_ratio_h: float = DESK_BESS_RATIO_H) -> DesignSpace:
+    """Diesel, PV and a battery bounded at 1x, 3x and 5x the peak load, rounded up to 5 kW."""
+    peak = load.peak_kw
+    return DesignSpace(
+        ders=(
+            DerSpec(name="diesel", kind=DerKind.DIESEL_GENERATOR, upper_bound=ceil_to(peak)),
+            DerSpec(name="solar", kind=DerKind.PHOTOVOLTAIC, upper_bound=ceil_to(peak * 3)),
+            DerSpec(
+                name="battery",
+                kind=DerKind.BATTERY_STORAGE,
+                upper_bound=ceil_to(peak * 5),
+                charge_ratio=bess_ratio_h,
+                discharge_ratio=bess_ratio_h,
+            ),
+        )
+    )
 
 
 def constant_load(kw: float, n_steps: int = 4, step_seconds: float = 1800.0) -> LoadProfile:

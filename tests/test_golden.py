@@ -1,4 +1,7 @@
-"""Golden outputs on the desk instance, pinned so a refactor cannot move them.
+"""Golden outputs, pinned so a refactor cannot move them.
+
+Most are on the desk instance; the recall pins are also on a 672-step
+half-hourly input, measured against `reference.diesel_bisection_frontier`.
 
 The constants were computed before the refinement stages were rewritten
 around one walk. A change that alters output on purpose updates them and
@@ -6,14 +9,18 @@ says so.
 """
 
 import hashlib
+import itertools
 
 import pytest
 
 from dersizer import DispatchConfig
-from dersizer.core import non_dominated
+from dersizer.core import MicrogridDesign, non_dominated
 from dersizer.io_cli import main
-from dersizer.search import SearchConfig, exhaustive_search, run_pipeline
-from dersizer.simulator import SimulationCache
+from dersizer.search import SearchConfig, build_grids, exhaustive_search, run_pipeline
+from dersizer.simulator import SimulationCache, memoized_operate
+from dersizer.synthetic import synthetic_load_profile
+from helpers import space_for
+from reference import diesel_bisection_frontier
 
 SIZE_CSV_SHA256 = "a2690dbca839cd50c818e9b73bb1ff90b1bc26f2447759afe305fae0469a1e3a"
 EXHAUSTIVE_8_CSV_SHA256 = "267261cf7dd072bd67b1a2baf3bc43876ee2ea4a586ba0d3f36b73d61e390d65"
@@ -42,6 +49,19 @@ RECALL_21_ORACLE_DESIGNS = 32
 RECALL_21_ORACLE_SIMULATIONS = 5396
 # rng seed -> (oracle designs found, pipeline simulations)
 RECALL_21_BY_SEED = {7: (20, 550), 42: (18, 543)}
+
+# Recall on two weeks of half-hourly load at 21 fine levels and rng seed 7,
+# where nonzero deficits come in steps of 1/672, so many lie within the
+# display threshold, and where a one-level battery raise can add deficit
+# (6 such raises on the 21-level grid with 2 h batteries, 84 with 4 h). The
+# exact frontier within the threshold is the diesel bisection oracle's.
+# battery ratio (h) -> (oracle simulations, pipeline simulations,
+#   (zero-deficit finals on the frontier, its zero-deficit designs),
+#   (finals on the frontier, its designs))
+RECALL_672_BY_RATIO = {
+    2.0: (2845, 411, (12, 14), (25, 37)),
+    4.0: (2754, 438, (18, 32), (47, 89)),
+}
 
 
 def sha256_of(path) -> str:
@@ -91,3 +111,44 @@ def test_pipeline_recall_at_21_levels_is_golden(desk_load, desk_space, desk_orac
     found = {d.capacities for d in report.final_designs if d.deficit_ratio == 0}
     assert found <= desk_oracle_21  # no zero-deficit final lies off the exact frontier
     assert (len(found), report.all_simulated) == RECALL_21_BY_SEED[rng_seed]
+
+
+@pytest.fixture(scope="module")
+def fortnight_load():
+    return synthetic_load_profile(n_steps=672, step_seconds=1800.0, seed=7)
+
+
+def test_diesel_bisection_frontier_equals_full_enumeration(fortnight_load):
+    space = space_for(fortnight_load, bess_ratio_h=4.0)
+    grids = build_grids(space, 11)
+    threshold = SearchConfig().deficit_display_threshold
+    cache = SimulationCache(space, fortnight_load, DispatchConfig())
+    every = [
+        memoized_operate(cache, design=MicrogridDesign(tuple([g.points[k] for g, k in zip(grids, levels)])))
+        for levels in itertools.product(*(range(len(g.points)) for g in grids))
+    ]
+    exact = [d for d in non_dominated(every) if d.deficit_ratio <= threshold]
+    assert any(d.deficit_ratio == 0 for d in exact) and any(d.deficit_ratio > 0 for d in exact)
+    oracle_cache = SimulationCache(space, fortnight_load, DispatchConfig())
+    assert repr(diesel_bisection_frontier(oracle_cache, grids, threshold)) == repr(exact)
+    assert oracle_cache.unique_simulations < cache.unique_simulations
+
+
+@pytest.mark.parametrize("bess_ratio_h", sorted(RECALL_672_BY_RATIO))
+def test_pipeline_recall_on_672_steps_is_golden(fortnight_load, bess_ratio_h):
+    space = space_for(fortnight_load, bess_ratio_h)
+    search_config = SearchConfig(fine_level_points=21, rng_seed=PIPELINE_SEED)
+    cache = SimulationCache(space, fortnight_load, DispatchConfig())
+    frontier = diesel_bisection_frontier(cache, build_grids(space, 21), search_config.deficit_display_threshold)
+    exact = {d.capacities for d in frontier}
+    exact_zero = {d.capacities for d in frontier if d.deficit_ratio == 0}
+    report = run_pipeline(space, fortnight_load, DispatchConfig(), search_config)
+    found = {d.capacities for d in report.final_designs}
+    found_zero = {d.capacities for d in report.final_designs if d.deficit_ratio == 0}
+    assert found_zero <= exact_zero  # no zero-deficit final lies off the exact frontier
+    assert (
+        cache.unique_simulations,
+        report.all_simulated,
+        (len(found_zero), len(exact_zero)),
+        (len(found & exact), len(exact)),
+    ) == RECALL_672_BY_RATIO[bess_ratio_h]

@@ -21,7 +21,6 @@ from dersizer.core import (
     EvaluatedDesign,
     LoadProfile,
     MicrogridDesign,
-    SimulationOutcome,
     capacity_grid,
     deficit_ratio,
     unused_ratio,
@@ -29,9 +28,6 @@ from dersizer.core import (
 from dersizer.simulator import (
     DispatchConfig,
     SimulationCache,
-    discharge_capability_kw,
-    dispatch_step,
-    initial_bess_state,
     memoized_operate,
     operate,
     pv_availability,
@@ -39,6 +35,7 @@ from dersizer.simulator import (
 )
 from dersizer.synthetic import two_week_profile
 from helpers import with_capacity
+from reference import discharge_capability_kw, dispatch_step, fold_dispatch_step, initial_bess_state
 
 
 def stamps(*hours):
@@ -409,39 +406,6 @@ def test_discharge_capability_zero_capacity():
 # ---------------------------------------------------------------------------
 # operate against its specification: dispatch_step folded over time
 
-def fold_dispatch_step(space, design, load, config):
-    """The SimulationOutcome defined by stepping dispatch_step through the horizon."""
-    caps = design.capacities
-    kinds = [d.kind for d in space.ders]
-    bess_idx = [i for i, k in enumerate(kinds) if k is DerKind.BATTERY_STORAGE]
-    pv_factors = pv_availability(load.times, config)
-    wind_factors = wind_availability(len(load), config)
-    available = np.zeros((len(space.ders), len(load)))
-    for i, kind in enumerate(kinds):
-        if kind is DerKind.PHOTOVOLTAIC:
-            available[i] = caps[i] * pv_factors
-        elif kind is DerKind.WIND_TURBINE:
-            available[i] = caps[i] * wind_factors
-        elif kind is DerKind.DIESEL_GENERATOR:
-            available[i] = caps[i]
-    states = tuple(initial_bess_state(space.ders[i], caps[i], config) for i in bess_idx)
-    used_rows, flags = [], []
-    for t in range(len(load)):
-        duration = load.durations_s[t]
-        for b, i in enumerate(bess_idx):
-            available[i, t] = discharge_capability_kw(states[b], config, duration)
-        used_t, states, flag = dispatch_step(
-            space, load.demand_kw[t], available[:, t].tolist(), states, config, duration
-        )
-        used_rows.append(used_t)
-        flags.append(flag)
-    return SimulationOutcome(
-        deficit_flags=np.array(flags, dtype=np.int8),
-        per_der_available=available,
-        per_der_used=np.array(used_rows).T.copy(),
-    )
-
-
 def random_space(rng):
     ders = [
         DerSpec(name="pv_a", kind=DerKind.PHOTOVOLTAIC, upper_bound=rng.uniform(50, 400)),
@@ -523,13 +487,21 @@ def segments(draw, levels, n_steps):
     return series[:n_steps]
 
 
+# Capacities about the deficit tolerance, for the DERs that `operate` treats
+# apart: a battery of any nonzero capacity runs the recurrence and keys the
+# pre-diesel memo, and each diesel serves the residual the one before it left.
+NEAR_ZERO = (EPS_POWER / 2, EPS_POWER, 2 * EPS_POWER)
+NEAR_ZERO_KINDS = (DerKind.BATTERY_STORAGE, DerKind.DIESEL_GENERATOR)
+
+
 @st.composite
 def dispatch_cases(draw):
     """(space, design, load, config): 0-2 PV, optional wind, 1-3 batteries, 0-2 diesels.
 
     Demand and wind are held over stretches of up to 60 steps, so that some
     profiles keep a battery full through days of surplus and others hold it
-    at its floor through long windless nights.
+    at its floor through long windless nights. Battery and diesel
+    capacities include the NEAR_ZERO values.
     """
     bound = st.floats(20.0, 400.0)
     ratio = st.sampled_from([0.25, 0.5, 2.0]) | st.floats(0.1, 8.0)
@@ -548,7 +520,11 @@ def dispatch_cases(draw):
     for k in range(draw(st.integers(0, 2))):
         ders.append(DerSpec(f"diesel{k}", DerKind.DIESEL_GENERATOR, upper_bound=draw(bound)))
     space = DesignSpace(ders=tuple(draw(st.permutations(ders))))
-    capacities = (st.sampled_from([0.0, d.upper_bound]) | st.floats(0.0, d.upper_bound) for d in space.ders)
+    capacities = (
+        st.sampled_from([0.0, d.upper_bound, *(NEAR_ZERO if d.kind in NEAR_ZERO_KINDS else ())])
+        | st.floats(0.0, d.upper_bound)
+        for d in space.ders
+    )
     design = MicrogridDesign(tuple(draw(c) for c in capacities))
 
     n_steps = draw(st.integers(1, 200))
@@ -583,6 +559,34 @@ def test_operate_bitwise_equals_folded_dispatch_step_property(case):
         a, b = getattr(got, field), getattr(want, field)
         assert (a.dtype, a.shape) == (b.dtype, b.shape), field
         assert a.tobytes() == b.tobytes(), field
+
+
+@pytest.mark.parametrize("ratio_h", [2.0, 4.0])
+def test_operate_bitwise_equals_folded_dispatch_step_over_two_weeks(ratio_h):
+    # The 5040-step profile (peak 87.9 kW). With 265 kW of PV the 440 kWh
+    # battery sits full through up to 110-115 surplus steps in a row, and the
+    # 110 kWh one at its floor through up to 144-167 steps of load; the
+    # battery kernel skips both kinds of stretch.
+    load = two_week_profile()
+    space = DesignSpace(
+        ders=(
+            DerSpec(name="diesel", kind=DerKind.DIESEL_GENERATOR, upper_bound=90.0),
+            DerSpec(name="solar", kind=DerKind.PHOTOVOLTAIC, upper_bound=265.0),
+            DerSpec(
+                name="battery", kind=DerKind.BATTERY_STORAGE, upper_bound=440.0,
+                charge_ratio=ratio_h, discharge_ratio=ratio_h,
+            ),
+        )
+    )
+    config = DispatchConfig()
+    for capacities in ((33.1875, 99.375, 198.0), (0.0, 265.0, 110.0), (45.0, 265.0, 440.0)):
+        design = MicrogridDesign(capacities)
+        got = operate(space, design, load, config)
+        want = fold_dispatch_step(space, design, load, config)
+        for field in ("deficit_flags", "per_der_available", "per_der_used"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), field
+            assert a.tobytes() == b.tobytes(), (field, design)
 
 
 def test_operate_with_memo_bitwise_equals_without(monkeypatch):
@@ -646,8 +650,8 @@ def reuse_cases(draw):
     """(space, load, config, designs): a few non-diesel vectors, each met at several diesel levels.
 
     Spaces have 0-2 PV, optional wind, 0-2 batteries and 1-2 diesels.
-    Battery capacities include 0.0 and -0.0, which share a key in the
-    pre-diesel memo.
+    Capacities include 0.0 and -0.0, which share a key in the pre-diesel
+    memo, and battery and diesel capacities include the NEAR_ZERO values.
     """
     bound = st.floats(20.0, 400.0)
     ratio = st.sampled_from([0.25, 0.5, 2.0]) | st.floats(0.1, 8.0)
@@ -674,7 +678,8 @@ def reuse_cases(draw):
     config = DispatchConfig(wind_capacity_factor=draw(st.floats(0.0, 1.0)), bess_min_soc=draw(st.floats(0.0, 0.5)))
 
     def capacity(spec):
-        return draw(st.sampled_from([0.0, -0.0, spec.upper_bound]) | st.floats(0.0, spec.upper_bound))
+        near_zero = NEAR_ZERO if spec.kind in NEAR_ZERO_KINDS else ()
+        return draw(st.sampled_from([0.0, -0.0, spec.upper_bound, *near_zero]) | st.floats(0.0, spec.upper_bound))
 
     diesels = [i for i, d in enumerate(space.ders) if d.kind is DerKind.DIESEL_GENERATOR]
     vectors = [
