@@ -109,14 +109,16 @@ def _step_batteries(
     used: np.ndarray,
     remaining: np.ndarray,
 ) -> np.ndarray:
-    """Run the battery recurrence of `dispatch_step` over time on plain floats.
+    """Run the battery recurrence of `dispatch_step` over time, in place.
 
     Renewable surplus charges the batteries in merit order, then the
     batteries discharge into the remaining load. Fills the battery rows of
     `available` and `used`, adds charging draw to the renewable rows of
-    `used`, and returns the load left for diesel.
+    `used`, and returns the load left for diesel as a new array.
 
-    Only the steps where a battery can act are stepped, which is exact:
+    The loop reads and writes the NumPy rows in place, through memoryviews
+    that yield and take plain floats, and touches only the steps it steps:
+    those where a battery can act. That is exact:
     - A renewable with spare power at a step served all the load left when
       its turn came, so a step with surplus has no load left and a step
       with load left has no surplus. Steps therefore fall into alternating
@@ -126,12 +128,13 @@ def _step_batteries(
       change nothing, and once every battery is at or below its floor in a
       run without surplus, neither can the rest of that run; both are
       skipped.
-    The energy stored at the start of every step, skipped ones included, is
-    recorded, and the battery `available` rows are computed from it after
-    the loop with `discharge_capability_kw`'s operations in its order. Each
-    `min(a, b)` of `dispatch_step` is written as a conditional that keeps
-    `min`'s tie rule (a wins unless b < a), so every value is bitwise equal
-    to the folded `dispatch_step`, the specification in `tests/reference.py`.
+    The energy stored at the start of every step is recorded, by slice over
+    each skipped stretch, and the battery `available` rows are computed from
+    it after the loop with `discharge_capability_kw`'s operations in its
+    order. Each `min(a, b)` of `dispatch_step` is written as a conditional
+    that keeps `min`'s tie rule (a wins unless b < a), so every value is
+    bitwise equal to the folded `dispatch_step`, the specification in
+    `tests/reference.py`.
     """
     space, config = cache.space, cache.config
     renewables = cache.renewable_idx
@@ -150,24 +153,25 @@ def _step_batteries(
     # runs of steps with surplus and of steps without alternate, split at these bounds
     bounds = [0, *(np.flatnonzero(surplus[1:] != surplus[:-1]) + 1).tolist(), n_steps]
     charging = bool(surplus[0])
-    ren_used = [used[j].tolist() for j in renewables]
-    sources = list(zip([available[j].tolist() for j in renewables], ren_used))
-    bess_used = [[0.0] * n_steps for _ in bess]
-    rest = remaining.tolist()
-    levels: list[float] = []  # energy stored at the start of each step, batteries innermost
+    sources = [(memoryview(available[j]), memoryview(used[j])) for j in renewables]
+    drawn = [memoryview(used[i]) for i in bess]
+    residual = remaining.copy()  # `remaining` may be the cache's read-only demand
+    rest = memoryview(residual)
+    levels = np.empty((len(bess), n_steps))  # energy stored at the start of each step
+    level = [memoryview(row) for row in levels]
     batteries = range(len(bess))
 
     for run_start, run_end in zip(bounds, bounds[1:]):
-        if charging:
-            for t in range(run_start, run_end):
-                levels += stored
-                h = hours[t]
-                room = False
+        for t in range(run_start, run_end):
+            h = hours[t]
+            acted = False
+            if charging:
                 for b in batteries:
+                    level[b][t] = stored[b]
                     headroom = capacity[b] - stored[b]
                     if headroom <= 0:
                         continue
-                    room = True
+                    acted = True
                     budget = headroom / (eta_c * h)
                     if not budget < max_charge[b]:
                         budget = max_charge[b]
@@ -182,45 +186,34 @@ def _step_batteries(
                             charged += take
                     if charged > 0:
                         stored[b] = stored[b] + charged * eta_c * h
-                if not room:  # all full: the rest of this run changes nothing
-                    levels += stored * (run_end - t - 1)
-                    break
-        else:
-            for t in range(run_start, run_end):
-                levels += stored
-                h = hours[t]
+            else:
                 r = rest[t]
-                able = False
                 for b in batteries:
+                    level[b][t] = stored[b]
                     usable = stored[b] - floor[b]
                     if usable <= 0:
                         continue
-                    able = True  # set before the load check: a step without load ends no run
-                    if r <= 0:
-                        break
+                    acted = True  # with no load left (r <= 0) it gives nothing, but ends no run
                     give = usable * eta_d / h
                     if not give < max_discharge[b]:
                         give = max_discharge[b]
                     if not give < r:
                         give = r
                     if give > 0:
-                        bess_used[b][t] = give
+                        drawn[b][t] = give
                         r -= give
                         stored[b] = stored[b] - give * h / eta_d
-                if not able:  # all at their floor: the rest of this run changes nothing
-                    levels += stored * (run_end - t - 1)
-                    break
                 rest[t] = r
+            if not acted:  # all full, or all at their floor: the rest of this run changes nothing
+                levels[:, t + 1 : run_end] = np.array(stored)[:, None]
+                break
         charging = not charging
 
-    usable = np.array(levels).reshape(n_steps, len(bess)).T - np.array(floor)[:, None]
+    usable = levels - np.array(floor)[:, None]
     limit = usable * eta_d / cache.hours
     ceiling = np.array(max_discharge)[:, None]
     available[bess] = np.where(usable > 0, np.where(limit < ceiling, limit, ceiling), 0.0)
-    for rows, values in ((renewables, ren_used), (bess, bess_used)):
-        for i, row in zip(rows, values):
-            used[i] = row
-    return np.array(rest)
+    return residual
 
 
 # Float budget of one search's pre-diesel memo (1 MiB of float64): about 48

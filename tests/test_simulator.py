@@ -5,6 +5,7 @@ import math
 import random
 from dataclasses import replace
 from datetime import datetime, timedelta
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -33,8 +34,8 @@ from dersizer.simulator import (
     pv_availability,
     wind_availability,
 )
-from dersizer.synthetic import two_week_profile
-from helpers import with_capacity
+from dersizer.synthetic import synthetic_load_profile, two_week_profile
+from helpers import space_for, with_capacity
 from reference import discharge_capability_kw, dispatch_step, fold_dispatch_step, initial_bess_state
 
 
@@ -275,29 +276,37 @@ def test_monotonicity_raising_capacity_never_adds_deficits(desk_load, desk_space
         assert np.all(more.deficit_flags <= base.deficit_flags)
 
 
-def test_monotonicity_fails_with_slow_battery_on_two_week_profile():
-    # The pruning stage assumes monotone dispatch. With 4 h battery ratios on
-    # the two-week profile it is not: one battery level more adds deficit.
-    load = two_week_profile()
-    space = DesignSpace(
-        ders=(
-            DerSpec(name="diesel", kind=DerKind.DIESEL_GENERATOR, upper_bound=90.0),
-            DerSpec(name="solar", kind=DerKind.PHOTOVOLTAIC, upper_bound=265.0),
-            DerSpec(
-                name="battery", kind=DerKind.BATTERY_STORAGE, upper_bound=440.0,
-                charge_ratio=4.0, discharge_ratio=4.0,
-            ),
-        )
-    )
-    grids = [capacity_grid(spec, 161).points for spec in space.ders]
-    design = MicrogridDesign((grids[0][59], grids[1][60], grids[2][72]))
-    raised = with_capacity(design, 2, grids[2][73])
-    assert design.capacities == (33.1875, 99.375, 198.0)
-    assert raised.capacities == (33.1875, 99.375, 200.75)
+@pytest.mark.parametrize(
+    ("make_load", "ratio_h", "levels", "design_levels", "capacities", "raised_kwh", "deficits"),
+    [
+        pytest.param(
+            two_week_profile, 4.0, 161, (59, 60, 72), (33.1875, 99.375, 198.0), 200.75,
+            (0.45634920634920634, 0.45674603174603173), id="5040-steps-4h",
+        ),
+        pytest.param(
+            partial(synthetic_load_profile, n_steps=672, step_seconds=1800.0, seed=7), 2.0, 21, (10, 7, 3),
+            (45.0, 92.75, 66.0), 88.0, (0.16666666666666666, 0.16964285714285715), id="672-steps-2h",
+        ),
+    ],
+)
+def test_monotonicity_fails_with_slow_battery_on_two_week_profile(
+    make_load, ratio_h, levels, design_levels, capacities, raised_kwh, deficits
+):
+    # The pruning stage assumes monotone dispatch. With slow batteries on two
+    # weeks of load it is not: one battery level more adds deficit. The
+    # 672-step case has the twoweek-size benchmark's shape and 2 h batteries;
+    # it is one of 6 such raises among the 9,261 designs of its 21-level grid.
+    load = make_load()
+    space = space_for(load, ratio_h)
+    grids = [capacity_grid(spec, levels).points for spec in space.ders]
+    design = MicrogridDesign(tuple(grid[k] for grid, k in zip(grids, design_levels)))
+    raised = with_capacity(design, 2, grids[2][design_levels[2] + 1])
+    assert design.capacities == capacities
+    assert raised.capacities == (*capacities[:2], raised_kwh)
     config = DispatchConfig()
     cache = SimulationCache(space, load, config)
-    assert memoized_operate(cache, design=design).deficit_ratio == 0.45634920634920634
-    assert memoized_operate(cache, design=raised).deficit_ratio == 0.45674603174603173
+    assert memoized_operate(cache, design=design).deficit_ratio == deficits[0]
+    assert memoized_operate(cache, design=raised).deficit_ratio == deficits[1]
 
 
 # ---------------------------------------------------------------------------
@@ -561,25 +570,42 @@ def test_operate_bitwise_equals_folded_dispatch_step_property(case):
         assert a.tobytes() == b.tobytes(), field
 
 
-@pytest.mark.parametrize("ratio_h", [2.0, 4.0])
-def test_operate_bitwise_equals_folded_dispatch_step_over_two_weeks(ratio_h):
-    # The 5040-step profile (peak 87.9 kW). With 265 kW of PV the 440 kWh
-    # battery sits full through up to 110-115 surplus steps in a row, and the
-    # 110 kWh one at its floor through up to 144-167 steps of load; the
-    # battery kernel skips both kinds of stretch.
-    load = two_week_profile()
-    space = DesignSpace(
-        ders=(
-            DerSpec(name="diesel", kind=DerKind.DIESEL_GENERATOR, upper_bound=90.0),
-            DerSpec(name="solar", kind=DerKind.PHOTOVOLTAIC, upper_bound=265.0),
-            DerSpec(
-                name="battery", kind=DerKind.BATTERY_STORAGE, upper_bound=440.0,
-                charge_ratio=ratio_h, discharge_ratio=ratio_h,
-            ),
-        )
+# PV, wind, a 1 h and a 4 h battery, then diesel, on the 5040-step profile.
+# Charging draws on both renewables, and the kernel writes both battery rows
+# and fills each battery's stored energy over skipped stretches far longer
+# than the property cases': up to 326 full steps in a row for the first
+# design and 4963 steps at the floor for the third.
+TWO_WEEK_MIXED_SPACE = DesignSpace(
+    ders=(
+        DerSpec(name="solar", kind=DerKind.PHOTOVOLTAIC, upper_bound=265.0),
+        DerSpec(name="wind", kind=DerKind.WIND_TURBINE, upper_bound=200.0),
+        DerSpec(name="fast", kind=DerKind.BATTERY_STORAGE, upper_bound=440.0, charge_ratio=1.0, discharge_ratio=1.0),
+        DerSpec(name="slow", kind=DerKind.BATTERY_STORAGE, upper_bound=440.0, charge_ratio=4.0, discharge_ratio=4.0),
+        DerSpec(name="diesel", kind=DerKind.DIESEL_GENERATOR, upper_bound=90.0),
     )
+)
+SLOW_BATTERY_DESIGNS = ((33.1875, 99.375, 198.0), (0.0, 265.0, 110.0), (45.0, 265.0, 440.0))
+MIXED_DESIGNS = ((265.0, 200.0, 200.0, 300.0, 45.0), (120.0, 120.0, 80.0, 200.0, 30.0), (20.0, 20.0, 60.0, 110.0, 45.0))
+
+
+@pytest.mark.parametrize(
+    ("make_space", "designs"),
+    [
+        pytest.param(partial(space_for, bess_ratio_h=2.0), SLOW_BATTERY_DESIGNS, id="2.0"),
+        pytest.param(partial(space_for, bess_ratio_h=4.0), SLOW_BATTERY_DESIGNS, id="4.0"),
+        pytest.param(lambda load: TWO_WEEK_MIXED_SPACE, MIXED_DESIGNS, id="pv-wind-two-batteries"),
+    ],
+)
+def test_operate_bitwise_equals_folded_dispatch_step_over_two_weeks(make_space, designs):
+    # The 5040-step profile (peak 87.9 kW). With diesel, PV and a battery at
+    # 1x, 3x and 5x the peak and 265 kW of PV, the 440 kWh battery sits full
+    # through up to 110-115 surplus steps in a row, and the 110 kWh one at
+    # its floor through up to 144-167 steps of load; the battery kernel skips
+    # both kinds of stretch.
+    load = two_week_profile()
+    space = make_space(load)
     config = DispatchConfig()
-    for capacities in ((33.1875, 99.375, 198.0), (0.0, 265.0, 110.0), (45.0, 265.0, 440.0)):
+    for capacities in designs:
         design = MicrogridDesign(capacities)
         got = operate(space, design, load, config)
         want = fold_dispatch_step(space, design, load, config)
