@@ -105,16 +105,18 @@ def _step_batteries(
     cache: SimulationCache,
     caps: tuple[float, ...],
     bess: list[int],
-    available: np.ndarray,
+    available: list[np.ndarray],
     used: np.ndarray,
     remaining: np.ndarray,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Run the battery recurrence of `dispatch_step` over time, in place.
 
     Renewable surplus charges the batteries in merit order, then the
-    batteries discharge into the remaining load. Fills the battery rows of
-    `available` and `used`, adds charging draw to the renewable rows of
-    `used`, and returns the load left for diesel as a new array.
+    batteries discharge into the remaining load. `available` holds the
+    renewables' rows, and `used` their rows, then one row per battery in
+    `bess`. Adds charging draw to the renewable rows of `used`, fills its
+    battery rows, and returns the battery availability rows and the load
+    left for diesel as new arrays.
 
     The loop reads and writes the NumPy rows in place, through memoryviews
     that yield and take plain floats, and touches only the steps it steps:
@@ -137,7 +139,6 @@ def _step_batteries(
     `tests/reference.py`.
     """
     space, config = cache.space, cache.config
-    renewables = cache.renewable_idx
     eta_c = config.bess_charge_efficiency
     eta_d = config.bess_discharge_efficiency
     capacity = [caps[i] for i in bess]
@@ -148,13 +149,13 @@ def _step_batteries(
     n_steps = len(cache.hours)
     hours = cache.hours_list
     surplus = np.zeros(n_steps, dtype=bool)
-    for j in renewables:
-        surplus |= available[j] > used[j]  # a - u > 0 exactly when a > u
+    for source_available, source_used in zip(available, used):
+        surplus |= source_available > source_used  # a - u > 0 exactly when a > u
     # runs of steps with surplus and of steps without alternate, split at these bounds
     bounds = [0, *(np.flatnonzero(surplus[1:] != surplus[:-1]) + 1).tolist(), n_steps]
     charging = bool(surplus[0])
-    sources = [(memoryview(available[j]), memoryview(used[j])) for j in renewables]
-    drawn = [memoryview(used[i]) for i in bess]
+    sources = [(memoryview(a), memoryview(u)) for a, u in zip(available, used)]
+    drawn = [memoryview(row) for row in used[len(available) :]]
     residual = remaining.copy()  # `remaining` may be the cache's read-only demand
     rest = memoryview(residual)
     levels = np.empty((len(bess), n_steps))  # energy stored at the start of each step
@@ -212,8 +213,7 @@ def _step_batteries(
     usable = levels - np.array(floor)[:, None]
     limit = usable * eta_d / cache.hours
     ceiling = np.array(max_discharge)[:, None]
-    available[bess] = np.where(usable > 0, np.where(limit < ceiling, limit, ceiling), 0.0)
-    return residual
+    return np.where(usable > 0, np.where(limit < ceiling, limit, ceiling), 0.0), residual
 
 
 # Float budget of one search's pre-diesel memo (1 MiB of float64): about 48
@@ -240,14 +240,12 @@ class SimulationCache:
     ValueError for another input; an equal but distinct object is the same
     input. It holds:
     - the metrics of every design evaluated, keyed by `key_for`;
-    - a memo of the pre-diesel dispatch keyed by `non_diesel_key`, whose
-      least recently used entries go once its arrays exceed
-      PRE_DIESEL_MEMO_FLOATS floats;
+    - the memo of the dispatch before diesel, described at `pre_diesel`;
     - the unused ratios of the non-diesel DERs by DER index, keyed by
-      `non_diesel_key` too. They are exact for every diesel level, because
-      diesel is served last and writes only its own rows. The table holds one small dict per
-      distinct non-diesel vector, at most one per unique simulation, and is
-      kept apart from the memo so it neither evicts nor is evicted.
+      `non_diesel_key`. They are exact for every diesel level, because
+      diesel is served last and writes only its own rows. The table holds
+      one small dict per distinct non-diesel vector, at most one per unique
+      simulation, apart from the memo so it neither evicts nor is evicted.
     Not safe for concurrent use.
     """
 
@@ -259,12 +257,14 @@ class SimulationCache:
         )
         self.renewable_idx = self.pv_idx + self.wind_idx
         self.non_diesel_idx = self.renewable_idx + self.bess_idx
-        self.pv_factors = pv_availability(load.times, config)
-        self.wind_factors = wind_availability(len(load), config)
+        pv_factors = pv_availability(load.times, config)
+        wind_factors = wind_availability(len(load), config)
         self.demand = np.asarray(load.demand_kw, dtype=float)
         self.hours = load.durations_array / 3600.0
-        for arr in (self.pv_factors, self.wind_factors, self.demand, self.hours):
+        for arr in (pv_factors, wind_factors, self.demand, self.hours):
             arr.flags.writeable = False  # shared by every simulation of the search
+        # each renewable's index and its output per unit of capacity, in merit order
+        self.renewable_factors = [(i, pv_factors) for i in self.pv_idx] + [(i, wind_factors) for i in self.wind_idx]
         self.hours_list = self.hours.tolist()
         self._designs: dict[tuple[float, ...], EvaluatedDesign] = {}
         self._pre_diesel: OrderedDict[tuple[float, ...], _PreDiesel] = OrderedDict()
@@ -290,20 +290,49 @@ class SimulationCache:
         if (space, load, config) != (self.space, self.load, self.config):
             raise ValueError("this SimulationCache serves another (space, load, config)")
 
-    def _recall(self, key: tuple[float, ...]) -> _PreDiesel | None:
-        entry = self._pre_diesel.get(key)
-        if entry is not None:
-            self._pre_diesel.move_to_end(key)
-        return entry
+    def pre_diesel(self, caps: tuple[float, ...]) -> tuple[list[int], _PreDiesel]:
+        """The dispatch before diesel for `caps`: the indices of its nonzero batteries, and its rows.
 
-    def _remember(self, key: tuple[float, ...], entry: _PreDiesel) -> None:
-        for arr in entry:
-            arr.flags.writeable = False  # handed to every later hit
-        self._pre_diesel[key] = entry
-        self._pre_diesel_floats += sum(arr.size for arr in entry)
-        while self._pre_diesel_floats > PRE_DIESEL_MEMO_FLOATS:
-            _, old = self._pre_diesel.popitem(last=False)
-            self._pre_diesel_floats -= sum(arr.size for arr in old)
+        Renewables serve load in merit order, then the batteries step through
+        time (`_step_batteries`); a zero-capacity battery neither charges nor
+        discharges, so it gets no rows. Diesel is served last and holds no
+        state, and batteries charge only from renewable surplus, so this
+        depends on the non-diesel capacities alone. It is memoised by
+        `non_diesel_key`, so -0.0 and 0.0 share an entry, except for a vector
+        without a nonzero battery: it has no recurrence to save and runs on
+        every call. Kept entries are read-only, since every later call for
+        the vector gets the same arrays, and the least recently used go once
+        they exceed PRE_DIESEL_MEMO_FLOATS floats. `dispatch_runs` counts the
+        dispatches run; an evicted vector runs again to equal arrays.
+        """
+        bess = [i for i in self.bess_idx if caps[i] != 0.0]
+        key = None
+        if bess:
+            key = self.non_diesel_key(caps)
+            entry = self._pre_diesel.get(key)
+            if entry is not None:
+                self._pre_diesel.move_to_end(key)
+                return bess, entry
+        self.dispatch_runs += 1
+        available = [caps[i] * factors for i, factors in self.renewable_factors]
+        used = np.zeros((len(available) + len(bess), len(self.hours)))
+        remaining = self.demand
+        for source_available, source_used in zip(available, used):
+            remaining = _serve(source_available, source_used, remaining)
+        if bess:
+            bess_available, remaining = _step_batteries(self, caps, bess, available, used, remaining)
+        else:
+            bess_available = np.empty((0, len(self.hours)))
+        entry = _PreDiesel(used, bess_available, remaining)
+        if key is not None:
+            for arr in entry:
+                arr.flags.writeable = False
+            self._pre_diesel[key] = entry
+            self._pre_diesel_floats += sum(arr.size for arr in entry)
+            while self._pre_diesel_floats > PRE_DIESEL_MEMO_FLOATS:
+                _, old = self._pre_diesel.popitem(last=False)
+                self._pre_diesel_floats -= sum(arr.size for arr in old)
+        return bess, entry
 
 
 def operate(
@@ -316,23 +345,12 @@ def operate(
     """Fold the dispatch policy over the whole load horizon.
 
     Bitwise equal to folding `dispatch_step` over time, its specification,
-    which `tests/reference.py` holds.
-    The stateless stages (renewables, then diesel, each serving load in
-    merit order) run elementwise over all steps at once; only the battery
-    state is stepped in time, and only at steps where a battery can act:
-    stretches where every battery is full and facing surplus, or at its
-    floor and facing load, cannot change anything and are skipped (see
-    `_step_batteries`).
-
-    Diesel is served last and holds no state, and the batteries charge only
-    from renewable surplus, so the dispatch before diesel depends on the
-    non-diesel capacities alone. It runs only for non-diesel capacities that
-    the `cache` (a new one for this input when none is given) does not hold,
-    so a design that differs from an earlier one only in diesel capacity
-    costs the copy of the memoised rows into new matrices and the diesel
-    stage, which serves against the scalar capacity. The outcome does not
-    depend on what the cache holds. Raises ValueError when `cache` serves
-    another (space, load, config).
+    which `tests/reference.py` holds. Every call copies the rows of the
+    dispatch before diesel from `cache.pre_diesel` (a new cache for this
+    input when none is given), then serves diesel in merit order,
+    elementwise over all steps. The outcome does not depend on what the
+    cache holds. Raises ValueError when `cache` serves another (space,
+    load, config).
     """
     space.validate_design(design)
     if cache is None:
@@ -340,36 +358,16 @@ def operate(
     else:
         cache._check_input(space, load, config)
     caps = design.capacities
+    bess, entry = cache.pre_diesel(caps)
     available = np.zeros((len(space.ders), len(load)))
     used = np.zeros(available.shape)
-    for i in cache.pv_idx:
-        available[i] = caps[i] * cache.pv_factors
-    for i in cache.wind_idx:
-        available[i] = caps[i] * cache.wind_factors
-    renewables = cache.renewable_idx
-    # a zero-capacity battery neither charges nor discharges: its rows stay 0
-    bess = [i for i in cache.bess_idx if caps[i] != 0.0]
-    rows = [*renewables, *bess]
-
-    key = hit = None
-    if bess:  # without a battery there is no recurrence to save
-        key = cache.non_diesel_key(caps)
-        hit = cache._recall(key)
-    if hit is not None:
-        used[rows] = hit.used
-        available[bess] = hit.bess_available
-        remaining = hit.residual
-    else:
-        # renewables serve load in merit order, then the batteries step through time
-        remaining = cache.demand
-        for i in renewables:
-            remaining = _serve(available[i], used[i], remaining)
-        if bess:
-            remaining = _step_batteries(cache, caps, bess, available, used, remaining)
-        cache.dispatch_runs += 1
-        if key is not None:
-            cache._remember(key, _PreDiesel(used[rows], available[bess], remaining))
-
+    for i, factors in cache.renewable_factors:
+        available[i] = caps[i] * factors
+    for i, row in zip((*cache.renewable_idx, *bess), entry.used):
+        used[i] = row
+    for i, row in zip(bess, entry.bess_available):
+        available[i] = row
+    remaining = entry.residual
     for i in cache.diesel_idx:
         available[i] = caps[i]
         remaining = _serve(caps[i], used[i], remaining)
@@ -384,13 +382,12 @@ def operate(
 def memoized_operate(cache: SimulationCache, *, design: MicrogridDesign) -> EvaluatedDesign:
     """Evaluate a design on the cache's own input, simulating only on a miss.
 
-    A miss runs `operate` once. The unused ratios of the non-diesel DERs are
-    computed only for a non-diesel capacity vector the cache has not seen;
-    they depend on nothing else, because diesel is served last and writes
-    only its own rows. So a design that differs from an earlier one only in
-    diesel capacity costs the diesel stage, its deficit ratio and the diesel
-    unused ratios, and its metrics equal those of an evaluation without the
-    cache bit for bit.
+    A miss runs `operate` once (see `SimulationCache.pre_diesel` for what it
+    reuses). The unused ratios of the non-diesel DERs are computed only for
+    a non-diesel capacity vector the cache has not seen; they depend on
+    nothing else, because diesel is served last and writes only its own
+    rows. The metrics equal those of an evaluation without the cache bit
+    for bit.
     """
     key = cache.key_for(design)
     hit = cache._designs.get(key)

@@ -406,6 +406,43 @@ def test_diesel_only_change_computes_only_the_diesel_unused_ratio(desk_load, des
     assert (cache.unique_simulations, cache.dispatch_runs, len(cache._non_diesel_ratios)) == (2, 1, 1)
 
 
+def test_pre_diesel_runs_a_battery_vector_once(desk_load, desk_space, desk_dispatch):
+    cache = SimulationCache(desk_space, desk_load, desk_dispatch)
+    bess, entry = cache.pre_diesel((90.0, 0.0, 88.0))
+    assert (bess, cache.dispatch_runs) == ([2], 1)
+    assert not any(arr.flags.writeable for arr in entry)
+    # another diesel level, and -0.0 for 0.0: the same non-diesel vector
+    for caps in ((45.0, 0.0, 88.0), (0.0, -0.0, 88.0)):
+        again_bess, again = cache.pre_diesel(caps)
+        assert again_bess == [2] and again is entry
+    assert cache.dispatch_runs == 1
+
+
+def test_pre_diesel_runs_a_battery_less_vector_every_time(desk_load, desk_space, desk_dispatch):
+    cache = SimulationCache(desk_space, desk_load, desk_dispatch)
+    caps = (90.0, 53.0, -0.0)
+    first_bess, first = cache.pre_diesel(caps)
+    second_bess, second = cache.pre_diesel(caps)
+    assert first_bess == second_bess == []
+    assert second is not first and cache.dispatch_runs == 2
+    assert not cache._pre_diesel
+    assert [a.tobytes() for a in second] == [a.tobytes() for a in first]
+
+
+def test_pre_diesel_runs_an_evicted_vector_again_to_equal_arrays(desk_load, desk_space, desk_dispatch, monkeypatch):
+    # room for two entries of a PV row and a battery row of `used`, the battery availability and the residual
+    monkeypatch.setattr(simulator, "PRE_DIESEL_MEMO_FLOATS", 2 * 4 * len(desk_load))
+    cache = SimulationCache(desk_space, desk_load, desk_dispatch)
+    _, first = cache.pre_diesel((90.0, 53.0, 88.0))
+    _, second = cache.pre_diesel((90.0, 106.0, 88.0))
+    assert cache.pre_diesel((45.0, 53.0, 88.0))[1] is first  # now the most recently used
+    cache.pre_diesel((90.0, 159.0, 88.0))  # evicts the least recently used: the second vector
+    assert list(cache._pre_diesel) == [(53.0, 88.0), (159.0, 88.0)]
+    _, again = cache.pre_diesel((0.0, 106.0, 88.0))
+    assert again is not second and cache.dispatch_runs == 4
+    assert [a.tobytes() for a in again] == [a.tobytes() for a in second]
+
+
 def test_discharge_capability_zero_capacity():
     spec = DerSpec(name="b", kind=DerKind.BATTERY_STORAGE, upper_bound=10.0, charge_ratio=2.0, discharge_ratio=2.0)
     state = initial_bess_state(spec, 0.0, DispatchConfig())
