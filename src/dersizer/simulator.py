@@ -217,9 +217,10 @@ def _step_batteries(
 
 
 # Float budget of one search's pre-diesel memo (1 MiB of float64): about 48
-# entries at 672 steps with one PV array and one battery, and all 196 of a
-# 14-level oracle on a 48-step day. Doubling it saved 12% of the dispatch runs
-# of a 672-step two-week search but raised its peak memory by about 3%.
+# 4-row entries at 672 steps with one PV array and a battery (2 rows without
+# it), and all 196 of a 14-level oracle on a 48-step day (182 battery and 14
+# battery-less entries, 36,288 floats). Doubling it saved 17% of the dispatch
+# runs of 672-step two-week searches but raised their peak memory by about 3%.
 PRE_DIESEL_MEMO_FLOATS = 2**17
 
 
@@ -298,21 +299,18 @@ class SimulationCache:
         discharges, so it gets no rows. Diesel is served last and holds no
         state, and batteries charge only from renewable surplus, so this
         depends on the non-diesel capacities alone. It is memoised by
-        `non_diesel_key`, so -0.0 and 0.0 share an entry, except for a vector
-        without a nonzero battery: it has no recurrence to save and runs on
-        every call. Kept entries are read-only, since every later call for
-        the vector gets the same arrays, and the least recently used go once
-        they exceed PRE_DIESEL_MEMO_FLOATS floats. `dispatch_runs` counts the
-        dispatches run; an evicted vector runs again to equal arrays.
+        `non_diesel_key`, so -0.0 and 0.0 share an entry. Entries are
+        read-only, since every later call for the vector gets the same
+        arrays, and the least recently used go once they exceed
+        PRE_DIESEL_MEMO_FLOATS floats. `dispatch_runs` counts the dispatches
+        run; an evicted vector runs again to equal arrays.
         """
         bess = [i for i in self.bess_idx if caps[i] != 0.0]
-        key = None
-        if bess:
-            key = self.non_diesel_key(caps)
-            entry = self._pre_diesel.get(key)
-            if entry is not None:
-                self._pre_diesel.move_to_end(key)
-                return bess, entry
+        key = self.non_diesel_key(caps)
+        entry = self._pre_diesel.get(key)
+        if entry is not None:
+            self._pre_diesel.move_to_end(key)
+            return bess, entry
         self.dispatch_runs += 1
         available = [caps[i] * factors for i, factors in self.renewable_factors]
         used = np.zeros((len(available) + len(bess), len(self.hours)))
@@ -324,14 +322,13 @@ class SimulationCache:
         else:
             bess_available = np.empty((0, len(self.hours)))
         entry = _PreDiesel(used, bess_available, remaining)
-        if key is not None:
-            for arr in entry:
-                arr.flags.writeable = False
-            self._pre_diesel[key] = entry
-            self._pre_diesel_floats += sum(arr.size for arr in entry)
-            while self._pre_diesel_floats > PRE_DIESEL_MEMO_FLOATS:
-                _, old = self._pre_diesel.popitem(last=False)
-                self._pre_diesel_floats -= sum(arr.size for arr in old)
+        for arr in entry:
+            arr.flags.writeable = False
+        self._pre_diesel[key] = entry
+        self._pre_diesel_floats += sum(arr.size for arr in entry)
+        while self._pre_diesel_floats > PRE_DIESEL_MEMO_FLOATS:
+            _, old = self._pre_diesel.popitem(last=False)
+            self._pre_diesel_floats -= sum(arr.size for arr in old)
         return bess, entry
 
 

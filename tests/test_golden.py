@@ -27,17 +27,17 @@ EXHAUSTIVE_8_CSV_SHA256 = "267261cf7dd072bd67b1a2baf3bc43876ee2ea4a586ba0d3f36b7
 PIPELINE_SEED = 7
 PIPELINE_ALL_SIMULATED = 366
 PIPELINE_STAGE_COUNTS = {
-    "exhaustive": {"simulations": 121, "designs": 121, "pruned": 95, "dispatch_runs": 41},
-    "binary_search": {"simulations": 244, "designs": 365, "dispatch_runs": 78},
+    "exhaustive": {"simulations": 121, "designs": 121, "pruned": 95, "dispatch_runs": 36},
+    "binary_search": {"simulations": 244, "designs": 365, "dispatch_runs": 37},
     "local_search": {"simulations": 1, "designs": 114, "dispatch_runs": 0},
 }
 # One desk pipeline at 41 fine levels (the level count of the desk-seeds
 # benchmark), computed before the refinement walk stepped grid levels.
 PIPELINE_41_ALL_SIMULATED = 808
 PIPELINE_41_STAGE_COUNTS = {
-    "exhaustive": {"simulations": 121, "designs": 121, "pruned": 95, "dispatch_runs": 41},
-    "binary_search": {"simulations": 658, "designs": 779, "dispatch_runs": 265},
-    "local_search": {"simulations": 29, "designs": 276, "dispatch_runs": 12},
+    "exhaustive": {"simulations": 121, "designs": 121, "pruned": 95, "dispatch_runs": 36},
+    "binary_search": {"simulations": 658, "designs": 779, "dispatch_runs": 200},
+    "local_search": {"simulations": 29, "designs": 276, "dispatch_runs": 10},
 }
 PIPELINE_41_FINALS_REPR_SHA256 = "dfc4dfe01faf68675fc4cfa3e03d8d4395bbd33574ec1327e6698833894300a9"
 

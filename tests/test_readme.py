@@ -1,12 +1,15 @@
-"""The README's examples still work: the library snippet runs, the quick start sizes a design, and
-the CLI table's `simulate` and `filter` commands run on the quick start's files."""
+"""The README's examples still work: the library snippet runs, the quick start sizes a design, its
+example progress lines are what the pipeline logs, and the CLI table's `simulate` and `filter`
+commands run on the quick start's files."""
 
+import logging
 import pathlib
 import re
 import shlex
 
-from dersizer import synthetic
+from dersizer import DispatchConfig, synthetic
 from dersizer.io_cli import DEFICIT_COLUMN, main, parse_config, read_results_csv
+from dersizer.search import SearchConfig, run_pipeline
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -19,6 +22,10 @@ def section_body(section: str) -> str:
 def fenced_block(section: str, language: str) -> str:
     """The first `language` code block under the `## <section>` heading."""
     return re.search(rf"```{language}\n(.*?)```", section_body(section), re.DOTALL).group(1)
+
+
+def without_seconds(line: str) -> str:
+    return re.sub(r"\d+\.\d+s$", "<seconds>", line)
 
 
 def cli_usage(command: str, files: dict[str, str]) -> list[str]:
@@ -38,6 +45,14 @@ def test_quick_start_config_parses():
     assert [d.name for d in config.ders] == ["diesel", "solar", "battery"]
     assert (config.load_path, config.output_path) == ("load.csv", "results.csv")
     assert config.search.rng_seed == 42
+
+
+def test_progress_lines_are_the_pipeline_log_on_the_desk_day(desk_load, desk_space, caplog):
+    caplog.set_level(logging.INFO, logger="dersizer")
+    run_pipeline(desk_space, desk_load, DispatchConfig(), SearchConfig(fine_level_points=11, rng_seed=7))
+    logged = [r.getMessage() for r in caplog.records if r.name.startswith("dersizer")]
+    example = fenced_block("Quick start", "text").splitlines()
+    assert [without_seconds(line) for line in example] == [without_seconds(line) for line in logged]
 
 
 def test_quick_start_runs_end_to_end(tmp_path, monkeypatch, capsys):

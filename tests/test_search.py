@@ -143,6 +143,14 @@ def test_exhaustive_diesel_innermost_matches_plain_order_with_fewer_runs(
     assert cache.dispatch_runs < plain_cache.dispatch_runs
 
 
+def test_exhaustive_dispatches_each_non_diesel_vector_once(desk_load, desk_space, desk_dispatch):
+    cache = SimulationCache(desk_space, desk_load, desk_dispatch)
+    simulated = exhaustive_search(cache, desk_space, desk_load, desk_dispatch, 14)
+    vectors = {cache.non_diesel_key(d.capacities) for d in simulated}
+    assert len(cache._pre_diesel) == cache.dispatch_runs  # the memo evicted nothing
+    assert cache.dispatch_runs == len(vectors) == 14 * 14  # battery-less vectors included
+
+
 def test_exhaustive_refuses_oversized_product(diesel_space, monkeypatch):
     monkeypatch.setattr(search, "PRODUCT_SAFETY_CAP", 10)
     two = DesignSpace(

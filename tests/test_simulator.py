@@ -418,15 +418,30 @@ def test_pre_diesel_runs_a_battery_vector_once(desk_load, desk_space, desk_dispa
     assert cache.dispatch_runs == 1
 
 
-def test_pre_diesel_runs_a_battery_less_vector_every_time(desk_load, desk_space, desk_dispatch):
+def test_pre_diesel_runs_a_battery_less_vector_once(desk_load, desk_space, desk_dispatch):
     cache = SimulationCache(desk_space, desk_load, desk_dispatch)
-    caps = (90.0, 53.0, -0.0)
-    first_bess, first = cache.pre_diesel(caps)
-    second_bess, second = cache.pre_diesel(caps)
-    assert first_bess == second_bess == []
-    assert second is not first and cache.dispatch_runs == 2
-    assert not cache._pre_diesel
-    assert [a.tobytes() for a in second] == [a.tobytes() for a in first]
+    bess, entry = cache.pre_diesel((90.0, 53.0, -0.0))
+    assert (bess, cache.dispatch_runs) == ([], 1)
+    assert not any(arr.flags.writeable for arr in entry)
+    # a PV row of `used` and the residual
+    assert cache._pre_diesel_floats == 2 * len(desk_load)
+    # another diesel level, and 0.0 for -0.0: the same non-diesel vector
+    for caps in ((45.0, 53.0, -0.0), (90.0, 53.0, 0.0)):
+        again_bess, again = cache.pre_diesel(caps)
+        assert again_bess == [] and again is entry
+    assert cache.dispatch_runs == 1
+    assert list(cache._pre_diesel) == [(53.0, 0.0)]
+
+
+def test_pre_diesel_keeps_the_demand_as_the_residual_without_renewables(desk_load, diesel_only_space, desk_dispatch):
+    cache = SimulationCache(diesel_only_space, desk_load, desk_dispatch)
+    bess, entry = cache.pre_diesel((40.0,))
+    assert (bess, cache.dispatch_runs) == ([], 1)
+    assert entry.residual is cache.demand and not cache.demand.flags.writeable
+    assert entry.used.size == entry.bess_available.size == 0
+    assert cache._pre_diesel_floats == len(desk_load)  # the shared demand counts toward the budget
+    assert cache.pre_diesel((75.0,))[1] is entry
+    assert cache.dispatch_runs == 1
 
 
 def test_pre_diesel_runs_an_evicted_vector_again_to_equal_arrays(desk_load, desk_space, desk_dispatch, monkeypatch):
@@ -688,9 +703,7 @@ def test_operate_with_memo_bitwise_equals_without(monkeypatch):
 
             # keyed by value: -0.0 and 0.0 are one vector
             key = tuple(c for k, c in zip(kinds, caps) if k is not DerKind.DIESEL_GENERATOR)
-            if not any(c != 0.0 for k, c in zip(kinds, caps) if k is DerKind.BATTERY_STORAGE):
-                expected_runs += 1
-            elif key not in seen:
+            if key not in seen:
                 seen.add(key)
                 expected_runs += 1
 
