@@ -239,7 +239,9 @@ def capacity_grid(
     spacing = (hi - lo) / n
 
     quantize = False
-    if precision > 0:
+    # hi / precision bounds the quotients of lo, the spacing and every point (0 <= lo < hi);
+    # a subnormal precision can overflow it, and then the points are not snapped
+    if precision > 0 and math.isfinite(hi / precision):
         steps = spacing / precision
         base = lo / precision
         quantize = (

@@ -19,8 +19,8 @@ import logging
 import math
 import os
 import re
+import stat
 import sys
-import tempfile
 import time
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -350,17 +350,22 @@ def parse_config(text: str, base_dir: str = ".") -> PipelineConfigFile:
     )
 
 
+def _read_text(path: str) -> str:
+    """An input file's text; `utf-8-sig` drops the BOM that spreadsheet tools write in UTF-8 CSV."""
+    with open(path, "r", encoding="utf-8-sig") as f:
+        return f.read()
+
+
 def load_config_file(path: str) -> PipelineConfigFile:
-    with open(path, "r", encoding="utf-8") as f:
-        text = f.read()
-    return parse_config(text, base_dir=os.path.dirname(os.path.abspath(path)))
+    return parse_config(_read_text(path), base_dir=os.path.dirname(os.path.abspath(path)))
 
 
 def resolve_bounds(config: PipelineConfigFile, load: LoadProfile) -> DesignSpace:
     """Turn config DER entries into a DesignSpace, scaling bounds off peak demand.
 
-    Multiplier-derived upper bounds are rounded up to the capacity precision;
-    explicit upper bounds pass through untouched.
+    Multiplier-derived upper bounds are rounded up to the capacity precision,
+    unless their quotient by it overflows, and must be finite; explicit upper
+    bounds pass through untouched.
     """
     peak = load.peak_kw
     precision = config.capacity_precision
@@ -372,7 +377,9 @@ def resolve_bounds(config: PipelineConfigFile, load: LoadProfile) -> DesignSpace
             if multiplier is None:
                 multiplier = DEFAULT_PEAK_MULTIPLIERS[entry.kind]
             upper = multiplier * peak
-            if precision > 0:
+            if not math.isfinite(upper):
+                raise ValueError(f"{entry.name}: peak_multiplier {multiplier} times peak {peak} kW is not finite")
+            if precision > 0 and math.isfinite(upper / precision):
                 upper = math.ceil(upper / precision - 1e-9) * precision
         specs.append(
             DerSpec(
@@ -391,14 +398,12 @@ def build_dispatch_config(config: PipelineConfigFile, load: LoadProfile) -> Disp
     """The config's DispatchConfig, with its wind series sampled at the load timestamps if it has one."""
     if config.wind_series_path is None:
         return config.dispatch
-    with open(config.resolve_path(config.wind_series_path), "r", encoding="utf-8") as f:
-        times, factors = parse_wind_series(f.read())
+    times, factors = parse_wind_series(_read_text(config.resolve_path(config.wind_series_path)))
     return dataclasses.replace(config.dispatch, wind_capacity_factor=align_wind_series(times, factors, load))
 
 
 def load_inputs(config: PipelineConfigFile) -> tuple[LoadProfile, DesignSpace, DispatchConfig]:
-    with open(config.resolve_path(config.load_path), "r", encoding="utf-8") as f:
-        load = parse_load_profile(f.read())
+    load = parse_load_profile(_read_text(config.resolve_path(config.load_path)))
     space = resolve_bounds(config, load)
     dispatch = build_dispatch_config(config, load)
     return load, space, dispatch
@@ -462,12 +467,18 @@ def report_json_text(report: SearchReport, space: DesignSpace) -> str:
 
 
 def atomic_write(path: str, text: str) -> None:
-    """Write via a temp file and rename, so readers never see partial output."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".dersizer_", suffix=".part")
+    """Write via a temp file and rename, so readers never see partial output.
+
+    The file gets the mode `open(path, "w")` would give it: the temp file is
+    created with 0o666 less the umask, and takes an existing file's mode.
+    """
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".dersizer_{os.urandom(8).hex()}.part")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as f:
             f.write(text)
+        with contextlib.suppress(FileNotFoundError):
+            os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -643,8 +654,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_filter(args: argparse.Namespace) -> int:
-    with open(args.results, "r", encoding="utf-8") as f:
-        cap_cols, unused_cols, designs = read_results_csv(f.read())
+    cap_cols, unused_cols, designs = read_results_csv(_read_text(args.results))
     kept = non_dominated(designs)
     atomic_write(args.out, results_csv_text(cap_cols, unused_cols, kept))
     log.info("kept %d of %d designs", len(kept), len(designs))

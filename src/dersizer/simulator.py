@@ -104,7 +104,7 @@ def _serve(available: np.ndarray | float, used: np.ndarray, remaining: np.ndarra
 def _step_batteries(
     cache: SimulationCache,
     caps: tuple[float, ...],
-    bess: list[int],
+    bess: tuple[int, ...],
     available: list[np.ndarray],
     used: np.ndarray,
     remaining: np.ndarray,
@@ -116,7 +116,8 @@ def _step_batteries(
     renewables' rows, and `used` their rows, then one row per battery in
     `bess`. Adds charging draw to the renewable rows of `used`, fills its
     battery rows, and returns the battery availability rows and the load
-    left for diesel as new arrays.
+    left for diesel as new arrays. With no battery, each run ends at its
+    first step, so it only copies `remaining`.
 
     The loop reads and writes the NumPy rows in place, through memoryviews
     that yield and take plain floats, and touches only the steps it steps:
@@ -225,9 +226,10 @@ PRE_DIESEL_MEMO_FLOATS = 2**17
 
 
 class _PreDiesel(NamedTuple):
-    """What the dispatch before diesel leaves for one non-diesel capacity vector."""
+    """What the dispatch before diesel leaves for one non-diesel capacity vector: `bess`, then arrays."""
 
-    used: np.ndarray  # renewable rows (charging included), then charged-battery rows
+    bess: tuple[int, ...]  # the DER indices of its nonzero batteries, in merit order
+    used: np.ndarray  # renewable rows (charging included), then one row per battery in `bess`
     bess_available: np.ndarray
     residual: np.ndarray  # the load left for diesel
 
@@ -291,45 +293,41 @@ class SimulationCache:
         if (space, load, config) != (self.space, self.load, self.config):
             raise ValueError("this SimulationCache serves another (space, load, config)")
 
-    def pre_diesel(self, caps: tuple[float, ...]) -> tuple[list[int], _PreDiesel]:
-        """The dispatch before diesel for `caps`: the indices of its nonzero batteries, and its rows.
+    def pre_diesel(self, caps: tuple[float, ...]) -> _PreDiesel:
+        """The dispatch before diesel for `caps`: one entry that names its nonzero batteries and holds its rows.
 
         Renewables serve load in merit order, then the batteries step through
-        time (`_step_batteries`); a zero-capacity battery neither charges nor
-        discharges, so it gets no rows. Diesel is served last and holds no
-        state, and batteries charge only from renewable surplus, so this
-        depends on the non-diesel capacities alone. It is memoised by
-        `non_diesel_key`, so -0.0 and 0.0 share an entry. Entries are
-        read-only, since every later call for the vector gets the same
-        arrays, and the least recently used go once they exceed
+        time (`_step_batteries`, which with no battery copies the residual).
+        A zero-capacity battery neither charges nor discharges, so it is not
+        in `entry.bess`. Diesel is served last and holds no state, and
+        batteries charge only from renewable surplus, so this depends on the
+        non-diesel capacities alone. It is memoised by `non_diesel_key`, so
+        -0.0 and 0.0 share an entry. Entries are read-only, as later calls
+        share them, and the least recently used go once they exceed
         PRE_DIESEL_MEMO_FLOATS floats. `dispatch_runs` counts the dispatches
         run; an evicted vector runs again to equal arrays.
         """
-        bess = [i for i in self.bess_idx if caps[i] != 0.0]
         key = self.non_diesel_key(caps)
         entry = self._pre_diesel.get(key)
         if entry is not None:
             self._pre_diesel.move_to_end(key)
-            return bess, entry
+            return entry
         self.dispatch_runs += 1
+        bess = tuple(i for i in self.bess_idx if caps[i] != 0.0)
         available = [caps[i] * factors for i, factors in self.renewable_factors]
         used = np.zeros((len(available) + len(bess), len(self.hours)))
         remaining = self.demand
         for source_available, source_used in zip(available, used):
             remaining = _serve(source_available, source_used, remaining)
-        if bess:
-            bess_available, remaining = _step_batteries(self, caps, bess, available, used, remaining)
-        else:
-            bess_available = np.empty((0, len(self.hours)))
-        entry = _PreDiesel(used, bess_available, remaining)
-        for arr in entry:
+        entry = _PreDiesel(bess, used, *_step_batteries(self, caps, bess, available, used, remaining))
+        for arr in entry[1:]:
             arr.flags.writeable = False
         self._pre_diesel[key] = entry
-        self._pre_diesel_floats += sum(arr.size for arr in entry)
+        self._pre_diesel_floats += sum(arr.size for arr in entry[1:])
         while self._pre_diesel_floats > PRE_DIESEL_MEMO_FLOATS:
             _, old = self._pre_diesel.popitem(last=False)
-            self._pre_diesel_floats -= sum(arr.size for arr in old)
-        return bess, entry
+            self._pre_diesel_floats -= sum(arr.size for arr in old[1:])
+        return entry
 
 
 def operate(
@@ -355,14 +353,14 @@ def operate(
     else:
         cache._check_input(space, load, config)
     caps = design.capacities
-    bess, entry = cache.pre_diesel(caps)
+    entry = cache.pre_diesel(caps)
     available = np.zeros((len(space.ders), len(load)))
     used = np.zeros(available.shape)
     for i, factors in cache.renewable_factors:
         available[i] = caps[i] * factors
-    for i, row in zip((*cache.renewable_idx, *bess), entry.used):
+    for i, row in zip((*cache.renewable_idx, *entry.bess), entry.used):
         used[i] = row
-    for i, row in zip(bess, entry.bess_available):
+    for i, row in zip(entry.bess, entry.bess_available):
         available[i] = row
     remaining = entry.residual
     for i in cache.diesel_idx:

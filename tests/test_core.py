@@ -67,6 +67,12 @@ def test_grid_quantizes_when_spacing_matches_precision():
     assert grid.points == tuple(float(v) for v in range(0, 601, 60))
 
 
+def test_grid_with_a_subnormal_precision_is_the_unquantized_grid():
+    # 1e-310 overflows the quotients by the precision: the points are left as precision 0 gives them
+    spec = DerSpec(name="p", kind=DerKind.PHOTOVOLTAIC, lower_bound=5.0, upper_bound=263.1)
+    assert capacity_grid(spec, 11, 1e-310).points == capacity_grid(spec, 11, 0.0).points
+
+
 def test_grid_invariants_random_specs():
     rng = random.Random(11)
     for _ in range(100):

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import os
 import re
+import stat
 
 import pytest
 
@@ -212,6 +213,19 @@ def test_resolve_bounds_rounds_up_to_precision():
     config = parse_config(json.dumps(base_config_dict()))
     space = resolve_bounds(config, steady_load(87.7))
     assert [d.upper_bound for d in space.ders] == [90.0, 265.0, 440.0]
+
+
+def test_resolve_bounds_rejects_a_derived_bound_that_is_not_finite():
+    config = parse_config(json.dumps(base_config_dict()))
+    with pytest.raises(ValueError, match=r"solar: peak_multiplier 3\.0 times peak 1e\+308 kW is not finite"):
+        resolve_bounds(config, steady_load(1e308))
+
+
+def test_resolve_bounds_leaves_a_bound_unrounded_when_its_quotient_overflows():
+    doc = base_config_dict()
+    doc["capacity_precision"] = 1e-310
+    space = resolve_bounds(parse_config(json.dumps(doc)), steady_load(87.7))
+    assert [d.upper_bound for d in space.ders] == [87.7, 3 * 87.7, 5 * 87.7]
 
 
 def test_resolve_bounds_explicit_upper_passthrough():
@@ -432,6 +446,20 @@ def test_atomic_write_leaves_no_partial_file(tmp_path):
     atomic_write(str(target), "hello\n")
     assert target.read_text() == "hello\n"
     assert not [p for p in os.listdir(tmp_path) if p.endswith(".part")]
+
+
+def test_atomic_write_gives_the_mode_of_a_plain_open(tmp_path):
+    plain = tmp_path / "plain.csv"
+    with open(plain, "w", encoding="utf-8") as f:
+        f.write("hello\n")
+    target = tmp_path / "out.csv"
+    atomic_write(str(target), "hello\n")  # a new file: 0o666 less the umask
+    assert stat.S_IMODE(target.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
+    for mode in (0o640, 0o604):  # an existing file keeps its mode
+        target.chmod(mode)
+        atomic_write(str(target), f"{mode:o}\n")
+        assert (stat.S_IMODE(target.stat().st_mode), target.read_text()) == (mode, f"{mode:o}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "plain.csv"]
 
 
 # ---------------------------------------------------------------------------
@@ -727,6 +755,57 @@ def test_cli_non_finite_inputs_exit_2(desk_cli_dir, capsys):
     nan_config.write_text(json.dumps(doc), encoding="utf-8")
     assert run_cli("size", "--config", str(nan_config), "--out", str(desk_cli_dir / "x.csv")) == 2
     assert "battery: upper_bound must be finite" in capsys.readouterr().err
+
+
+def test_cli_load_whose_derived_bound_overflows_exits_2(desk_cli_dir, capsys):
+    load_csv = desk_cli_dir / "load.csv"
+    rows = load_csv.read_text().splitlines()
+    load_csv.write_text("\n".join(rows[:5] + [rows[5].split(",")[0] + ",1e308"] + rows[6:]) + "\n", encoding="utf-8")
+    out = desk_cli_dir / "x.csv"
+    assert run_cli("size", "--config", str(desk_cli_dir / "config.json"), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "error: solar: peak_multiplier 3.0 times peak 1e+308 kW is not finite" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+def test_cli_subnormal_capacity_precision_writes_the_unrounded_results(desk_cli_dir, capsys):
+    doc = json.loads((desk_cli_dir / "config.json").read_text())
+    outs = []
+    for precision in (1e-310, 0.0):
+        doc["capacity_precision"] = precision
+        config = desk_cli_dir / f"precision_{precision}.json"
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        outs.append(desk_cli_dir / f"precision_{precision}.csv")
+        assert run_cli("size", "--config", str(config), "--levels", "11", "--out", str(outs[-1])) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_cli_reads_inputs_with_a_utf8_bom(desk_cli_dir, capsys):
+    # spreadsheet tools start "CSV UTF-8" files with a BOM; each input reads as its BOM-less copy
+    doc = json.loads((desk_cli_dir / "config.json").read_text())
+    doc["ders"].append({"name": "wind", "kind": "wind_turbine"})
+    doc["dispatch"] = {"wind_series_path": "wind.csv"}
+    stamps = [row.split(",")[0] for row in (desk_cli_dir / "load.csv").read_text().splitlines()[1:]]
+    wind = "datetime,capacity_factor\n" + "".join(f"{t},{0.1 * (k % 7):.1f}\n" for k, t in enumerate(stamps))
+    inputs = {"config.json": json.dumps(doc), "load.csv": (desk_cli_dir / "load.csv").read_text(), "wind.csv": wind}
+    outs = []
+    for name, bom in (("plain", ""), ("bom", "\ufeff")):
+        folder = desk_cli_dir / name
+        folder.mkdir()
+        for file_name, text in inputs.items():
+            (folder / file_name).write_text(bom + text, encoding="utf-8")
+        outs.append(folder / "results.csv")
+        config = str(folder / "config.json")
+        assert run_cli("exhaustive", "--config", config, "--levels", "4", "--out", str(outs[-1])) == 0
+        results = folder / "results_bom.csv"
+        results.write_text(bom + outs[-1].read_text(), encoding="utf-8")
+        outs.append(folder / "filtered.csv")
+        assert run_cli("filter", str(results), "--out", str(outs[-1])) == 0
+    plain_results, plain_filtered, bom_results, bom_filtered = (out.read_bytes() for out in outs)
+    assert plain_results == bom_results and plain_filtered == bom_filtered
+    assert not plain_results.startswith(b"\xef\xbb\xbf") and plain_results.count(b"\n") > 2
+    assert "error" not in capsys.readouterr().err
 
 
 def test_cli_zero_load_exits_2(desk_cli_dir, capsys):

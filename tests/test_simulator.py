@@ -408,39 +408,38 @@ def test_diesel_only_change_computes_only_the_diesel_unused_ratio(desk_load, des
 
 def test_pre_diesel_runs_a_battery_vector_once(desk_load, desk_space, desk_dispatch):
     cache = SimulationCache(desk_space, desk_load, desk_dispatch)
-    bess, entry = cache.pre_diesel((90.0, 0.0, 88.0))
-    assert (bess, cache.dispatch_runs) == ([2], 1)
-    assert not any(arr.flags.writeable for arr in entry)
+    entry = cache.pre_diesel((90.0, 0.0, 88.0))
+    assert (entry.bess, cache.dispatch_runs) == ((2,), 1)
+    assert not any(arr.flags.writeable for arr in entry[1:])
     # another diesel level, and -0.0 for 0.0: the same non-diesel vector
     for caps in ((45.0, 0.0, 88.0), (0.0, -0.0, 88.0)):
-        again_bess, again = cache.pre_diesel(caps)
-        assert again_bess == [2] and again is entry
+        assert cache.pre_diesel(caps) is entry
     assert cache.dispatch_runs == 1
 
 
 def test_pre_diesel_runs_a_battery_less_vector_once(desk_load, desk_space, desk_dispatch):
     cache = SimulationCache(desk_space, desk_load, desk_dispatch)
-    bess, entry = cache.pre_diesel((90.0, 53.0, -0.0))
-    assert (bess, cache.dispatch_runs) == ([], 1)
-    assert not any(arr.flags.writeable for arr in entry)
+    entry = cache.pre_diesel((90.0, 53.0, -0.0))
+    assert (entry.bess, cache.dispatch_runs) == ((), 1)
+    assert not any(arr.flags.writeable for arr in entry[1:])
+    assert entry.bess_available.shape == (0, len(desk_load))
     # a PV row of `used` and the residual
     assert cache._pre_diesel_floats == 2 * len(desk_load)
     # another diesel level, and 0.0 for -0.0: the same non-diesel vector
     for caps in ((45.0, 53.0, -0.0), (90.0, 53.0, 0.0)):
-        again_bess, again = cache.pre_diesel(caps)
-        assert again_bess == [] and again is entry
+        assert cache.pre_diesel(caps) is entry
     assert cache.dispatch_runs == 1
     assert list(cache._pre_diesel) == [(53.0, 0.0)]
 
 
 def test_pre_diesel_keeps_the_demand_as_the_residual_without_renewables(desk_load, diesel_only_space, desk_dispatch):
     cache = SimulationCache(diesel_only_space, desk_load, desk_dispatch)
-    bess, entry = cache.pre_diesel((40.0,))
-    assert (bess, cache.dispatch_runs) == ([], 1)
-    assert entry.residual is cache.demand and not cache.demand.flags.writeable
+    entry = cache.pre_diesel((40.0,))
+    assert (entry.bess, cache.dispatch_runs) == ((), 1)
+    assert entry.residual.tobytes() == cache.demand.tobytes() and not entry.residual.flags.writeable
     assert entry.used.size == entry.bess_available.size == 0
-    assert cache._pre_diesel_floats == len(desk_load)  # the shared demand counts toward the budget
-    assert cache.pre_diesel((75.0,))[1] is entry
+    assert cache._pre_diesel_floats == len(desk_load)
+    assert cache.pre_diesel((75.0,)) is entry
     assert cache.dispatch_runs == 1
 
 
@@ -448,14 +447,15 @@ def test_pre_diesel_runs_an_evicted_vector_again_to_equal_arrays(desk_load, desk
     # room for two entries of a PV row and a battery row of `used`, the battery availability and the residual
     monkeypatch.setattr(simulator, "PRE_DIESEL_MEMO_FLOATS", 2 * 4 * len(desk_load))
     cache = SimulationCache(desk_space, desk_load, desk_dispatch)
-    _, first = cache.pre_diesel((90.0, 53.0, 88.0))
-    _, second = cache.pre_diesel((90.0, 106.0, 88.0))
-    assert cache.pre_diesel((45.0, 53.0, 88.0))[1] is first  # now the most recently used
+    first = cache.pre_diesel((90.0, 53.0, 88.0))
+    second = cache.pre_diesel((90.0, 106.0, 88.0))
+    assert cache.pre_diesel((45.0, 53.0, 88.0)) is first  # now the most recently used
     cache.pre_diesel((90.0, 159.0, 88.0))  # evicts the least recently used: the second vector
     assert list(cache._pre_diesel) == [(53.0, 88.0), (159.0, 88.0)]
-    _, again = cache.pre_diesel((0.0, 106.0, 88.0))
+    again = cache.pre_diesel((0.0, 106.0, 88.0))
     assert again is not second and cache.dispatch_runs == 4
-    assert [a.tobytes() for a in again] == [a.tobytes() for a in second]
+    assert again.bess == second.bess == (2,)
+    assert [a.tobytes() for a in again[1:]] == [a.tobytes() for a in second[1:]]
 
 
 def test_discharge_capability_zero_capacity():
@@ -557,7 +557,7 @@ NEAR_ZERO_KINDS = (DerKind.BATTERY_STORAGE, DerKind.DIESEL_GENERATOR)
 
 @st.composite
 def dispatch_cases(draw):
-    """(space, design, load, config): 0-2 PV, optional wind, 1-3 batteries, 0-2 diesels.
+    """(space, design, load, config): 0-2 PV, optional wind, 0-3 batteries, 0-2 diesels, one DER at least.
 
     Demand and wind are held over stretches of up to 60 steps, so that some
     profiles keep a battery full through days of surplus and others hold it
@@ -571,14 +571,14 @@ def dispatch_cases(draw):
     wind = draw(st.sampled_from(["none", "constant", "series"]))
     if wind != "none":
         ders.append(DerSpec("wind", DerKind.WIND_TURBINE, upper_bound=draw(bound)))
-    for k in range(draw(st.integers(1, 3))):
+    for k in range(draw(st.integers(0, 3))):
         ders.append(
             DerSpec(
                 f"bess{k}", DerKind.BATTERY_STORAGE, upper_bound=draw(bound),
                 charge_ratio=draw(ratio), discharge_ratio=draw(ratio),
             )
         )
-    for k in range(draw(st.integers(0, 2))):
+    for k in range(draw(st.integers(0 if ders else 1, 2))):
         ders.append(DerSpec(f"diesel{k}", DerKind.DIESEL_GENERATOR, upper_bound=draw(bound)))
     space = DesignSpace(ders=tuple(draw(st.permutations(ders))))
     capacities = (
