@@ -10,7 +10,8 @@ stage snaps a seed to the fine grid once (a capacity midway between two
 levels goes to the lower one), walks integer levels from there, and
 evaluates every distinct level tuple once, so every design it returns lies
 on the fine grid.
-The stages run on one thread, seed by seed; results are deterministic for a
+The stages run on one thread, seed by seed (the binary stage walks seeds
+that share non-diesel levels back to back); results are deterministic for a
 fixed (inputs, rng_seed).
 """
 
@@ -223,15 +224,25 @@ def binary_search_refine(
     downward while no deficit appears, upward until one disappears.
     Returns every distinct design evaluated, snapped seeds included, so
     each lies on the fine grids.
+
+    Each seed draws its child rng in seed order, but the seeds are walked
+    stably sorted by their snapped non-diesel levels, so seeds that share a
+    pre-diesel dispatch run back to back while the memo still holds it.
+    That changes no design found: a walk depends only on its start and its
+    child rng, as `evaluate` is a function of levels. Only the order of the
+    returned list moves, unless `key_for` rounds two fine-grid points to
+    one key (a grid spacing below 1e-6): the one asked for first is then
+    simulated for both, and walks through the other may differ.
     """
     if not seeds:
         raise ValueError("binary search needs a non-empty seed set")
     evaluate, record = _evaluator(cache, grids)
     tops = [g.n_intervals for g in grids]
     child_seeds = [rng.getrandbits(64) for _ in seeds]
-    for seed_design, child in zip(seeds, child_seeds):
+    starts = [tuple([g.level(c) for g, c in zip(grids, d.capacities)]) for d in seeds]
+    walks = sorted(zip(starts, child_seeds), key=lambda walk: [walk[0][i] for i in cache.non_diesel_idx])
+    for start, child in walks:
         seed_rng = random.Random(child)
-        start = tuple([g.level(c) for g, c in zip(grids, seed_design.capacities)])
         base = evaluate(start)
         for _ in range(passes):
             # each pass restarts from the snapped seed with a fresh DER order,

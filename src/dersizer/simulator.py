@@ -116,37 +116,36 @@ def _step_batteries(
     renewables' rows, and `used` their rows, then one row per battery in
     `bess`. Adds charging draw to the renewable rows of `used`, fills its
     battery rows, and returns the battery availability rows and the load
-    left for diesel as new arrays. With no battery, each run ends at its
-    first step, so it only copies `remaining`.
+    left for diesel as new arrays. With no battery, it only copies
+    `remaining`.
 
-    The loop reads and writes the NumPy rows in place, through memoryviews
-    that yield and take plain floats, and touches only the steps it steps:
-    those where a battery can act. That is exact:
+    The loop steps one battery at a time in merit order, each over the
+    whole horizon, with its state in locals. It reads and writes the NumPy
+    rows in place, through memoryviews that yield and take plain floats,
+    and touches only the steps where the battery can act. That is exact:
+    - At a step, a battery sees the spare renewable power and the load that
+      the batteries before it left at that step, which their whole-horizon
+      passes have already written into `used` and the residual, and its own
+      state depends only on its own history.
     - A renewable with spare power at a step served all the load left when
       its turn came, so a step with surplus has no load left and a step
       with load left has no surplus. Steps therefore fall into alternating
       runs with and without surplus, and each run takes only the charge
       branch or only the discharge branch.
-    - Once every battery is full in a surplus run, the rest of the run can
-      change nothing, and once every battery is at or below its floor in a
-      run without surplus, neither can the rest of that run; both are
-      skipped.
-    The energy stored at the start of every step is recorded, by slice over
-    each skipped stretch, and the battery `available` rows are computed from
-    it after the loop with `discharge_capability_kw`'s operations in its
-    order. Each `min(a, b)` of `dispatch_step` is written as a conditional
-    that keeps `min`'s tie rule (a wins unless b < a), so every value is
-    bitwise equal to the folded `dispatch_step`, the specification in
-    `tests/reference.py`.
+    - Once a battery is full in a surplus run, or at or below its floor in
+      a run without surplus, the rest of that run changes nothing for it,
+      and it skips that rest.
+    The energy a battery stores at the start of every step is recorded, by
+    slice over each skipped stretch, and its `available` row is computed
+    from it after its pass with `discharge_capability_kw`'s operations in
+    its order. Each `min(a, b)` of `dispatch_step` is written as a
+    conditional that keeps `min`'s tie rule (a wins unless b < a), so every
+    value is bitwise equal to the folded `dispatch_step`, the specification
+    in `tests/reference.py`.
     """
     space, config = cache.space, cache.config
     eta_c = config.bess_charge_efficiency
     eta_d = config.bess_discharge_efficiency
-    capacity = [caps[i] for i in bess]
-    stored = [config.bess_initial_soc * c for c in capacity]
-    floor = [config.bess_min_soc * c for c in capacity]
-    max_charge = [caps[i] / space.ders[i].charge_ratio for i in bess]
-    max_discharge = [caps[i] / space.ders[i].discharge_ratio for i in bess]
     n_steps = len(cache.hours)
     hours = cache.hours_list
     surplus = np.zeros(n_steps, dtype=bool)
@@ -154,29 +153,33 @@ def _step_batteries(
         surplus |= source_available > source_used  # a - u > 0 exactly when a > u
     # runs of steps with surplus and of steps without alternate, split at these bounds
     bounds = [0, *(np.flatnonzero(surplus[1:] != surplus[:-1]) + 1).tolist(), n_steps]
-    charging = bool(surplus[0])
+    runs = list(zip(bounds, bounds[1:], surplus[bounds[:-1]].tolist()))  # (start, end, with surplus)
     sources = [(memoryview(a), memoryview(u)) for a, u in zip(available, used)]
-    drawn = [memoryview(row) for row in used[len(available) :]]
     residual = remaining.copy()  # `remaining` may be the cache's read-only demand
     rest = memoryview(residual)
-    levels = np.empty((len(bess), n_steps))  # energy stored at the start of each step
-    level = [memoryview(row) for row in levels]
-    batteries = range(len(bess))
+    bess_available = np.empty((len(bess), n_steps))
 
-    for run_start, run_end in zip(bounds, bounds[1:]):
-        for t in range(run_start, run_end):
-            h = hours[t]
-            acted = False
+    for b, i in enumerate(bess):
+        capacity = caps[i]
+        stored = config.bess_initial_soc * capacity
+        floor = config.bess_min_soc * capacity
+        max_charge = capacity / space.ders[i].charge_ratio
+        max_discharge = capacity / space.ders[i].discharge_ratio
+        levels = np.empty(n_steps)  # energy stored at the start of each step
+        level = memoryview(levels)
+        drawn = memoryview(used[len(available) + b])
+        for run_start, run_end, charging in runs:
             if charging:
-                for b in batteries:
-                    level[b][t] = stored[b]
-                    headroom = capacity[b] - stored[b]
-                    if headroom <= 0:
-                        continue
-                    acted = True
+                for t in range(run_start, run_end):
+                    headroom = capacity - stored
+                    if headroom <= 0:  # full: the rest of this run changes nothing
+                        levels[t:run_end] = stored
+                        break
+                    level[t] = stored
+                    h = hours[t]
                     budget = headroom / (eta_c * h)
-                    if not budget < max_charge[b]:
-                        budget = max_charge[b]
+                    if not budget < max_charge:
+                        budget = max_charge
                     charged = 0.0
                     for source_available, source_used in sources:
                         spare = source_available[t] - source_used[t]
@@ -187,34 +190,29 @@ def _step_batteries(
                             source_used[t] += take
                             charged += take
                     if charged > 0:
-                        stored[b] = stored[b] + charged * eta_c * h
+                        stored = stored + charged * eta_c * h
             else:
-                r = rest[t]
-                for b in batteries:
-                    level[b][t] = stored[b]
-                    usable = stored[b] - floor[b]
-                    if usable <= 0:
-                        continue
-                    acted = True  # with no load left (r <= 0) it gives nothing, but ends no run
+                for t in range(run_start, run_end):
+                    usable = stored - floor
+                    if usable <= 0:  # at its floor: the rest of this run changes nothing
+                        levels[t:run_end] = stored
+                        break
+                    level[t] = stored
+                    h = hours[t]
+                    r = rest[t]  # with no load left (r <= 0) it gives nothing, but ends no run
                     give = usable * eta_d / h
-                    if not give < max_discharge[b]:
-                        give = max_discharge[b]
+                    if not give < max_discharge:
+                        give = max_discharge
                     if not give < r:
                         give = r
                     if give > 0:
-                        drawn[b][t] = give
-                        r -= give
-                        stored[b] = stored[b] - give * h / eta_d
-                rest[t] = r
-            if not acted:  # all full, or all at their floor: the rest of this run changes nothing
-                levels[:, t + 1 : run_end] = np.array(stored)[:, None]
-                break
-        charging = not charging
-
-    usable = levels - np.array(floor)[:, None]
-    limit = usable * eta_d / cache.hours
-    ceiling = np.array(max_discharge)[:, None]
-    return np.where(usable > 0, np.where(limit < ceiling, limit, ceiling), 0.0), residual
+                        drawn[t] = give
+                        rest[t] = r - give
+                        stored = stored - give * h / eta_d
+        usable = levels - floor
+        limit = usable * eta_d / cache.hours
+        bess_available[b] = np.where(usable > 0, np.where(limit < max_discharge, limit, max_discharge), 0.0)
+    return bess_available, residual
 
 
 # Float budget of one search's pre-diesel memo (1 MiB of float64): about 48
@@ -304,8 +302,9 @@ class SimulationCache:
         non-diesel capacities alone. It is memoised by `non_diesel_key`, so
         -0.0 and 0.0 share an entry. Entries are read-only, as later calls
         share them, and the least recently used go once they exceed
-        PRE_DIESEL_MEMO_FLOATS floats. `dispatch_runs` counts the dispatches
-        run; an evicted vector runs again to equal arrays.
+        PRE_DIESEL_MEMO_FLOATS floats, but the newest stays even when it
+        alone exceeds them. `dispatch_runs` counts the dispatches run; an
+        evicted vector runs again to equal arrays.
         """
         key = self.non_diesel_key(caps)
         entry = self._pre_diesel.get(key)
@@ -324,7 +323,7 @@ class SimulationCache:
             arr.flags.writeable = False
         self._pre_diesel[key] = entry
         self._pre_diesel_floats += sum(arr.size for arr in entry[1:])
-        while self._pre_diesel_floats > PRE_DIESEL_MEMO_FLOATS:
+        while self._pre_diesel_floats > PRE_DIESEL_MEMO_FLOATS and len(self._pre_diesel) > 1:
             _, old = self._pre_diesel.popitem(last=False)
             self._pre_diesel_floats -= sum(arr.size for arr in old[1:])
         return entry

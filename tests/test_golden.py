@@ -14,13 +14,13 @@ import itertools
 import pytest
 
 from dersizer import DispatchConfig
-from dersizer.core import MicrogridDesign, non_dominated
+from dersizer.core import EvaluatedDesign, MicrogridDesign, deficit_ratio, non_dominated, unused_ratio
 from dersizer.io_cli import main
 from dersizer.search import SearchConfig, build_grids, exhaustive_search, run_pipeline
 from dersizer.simulator import SimulationCache, memoized_operate
 from dersizer.synthetic import synthetic_load_profile
 from helpers import space_for
-from reference import diesel_bisection_frontier
+from reference import diesel_bisection_frontier, fold_dispatch_step
 
 SIZE_CSV_SHA256 = "a2690dbca839cd50c818e9b73bb1ff90b1bc26f2447759afe305fae0469a1e3a"
 EXHAUSTIVE_8_CSV_SHA256 = "267261cf7dd072bd67b1a2baf3bc43876ee2ea4a586ba0d3f36b73d61e390d65"
@@ -62,6 +62,13 @@ RECALL_672_BY_RATIO = {
     2.0: (2845, 411, (12, 14), (25, 37)),
     4.0: (2754, 438, (18, 32), (47, 89)),
 }
+# Their dispatch runs per stage at the default memo budget, which evicts
+# here, unlike on the desk: the binary stage walks seeds that share
+# non-diesel levels back to back (128 and 9, and 146 and 13, in seed order).
+RECALL_672_DISPATCH_RUNS = {
+    2.0: {"exhaustive": 36, "binary_search": 107, "local_search": 8},
+    4.0: {"exhaustive": 36, "binary_search": 127, "local_search": 14},
+}
 
 
 def sha256_of(path) -> str:
@@ -87,9 +94,14 @@ def test_pipeline_counts_are_golden(desk_load, desk_space):
     assert report.per_stage_counts == PIPELINE_STAGE_COUNTS
 
 
-def test_pipeline_at_41_levels_is_golden(desk_load, desk_space):
+@pytest.fixture(scope="module")
+def desk_pipeline_41(desk_load, desk_space):
     config = SearchConfig(fine_level_points=41, rng_seed=PIPELINE_SEED)
-    report = run_pipeline(desk_space, desk_load, DispatchConfig(), config)
+    return run_pipeline(desk_space, desk_load, DispatchConfig(), config)
+
+
+def test_pipeline_at_41_levels_is_golden(desk_pipeline_41):
+    report = desk_pipeline_41
     assert report.all_simulated == PIPELINE_41_ALL_SIMULATED
     assert report.per_stage_counts == PIPELINE_41_STAGE_COUNTS
     assert hashlib.sha256(repr(report.final_designs).encode()).hexdigest() == PIPELINE_41_FINALS_REPR_SHA256
@@ -134,15 +146,20 @@ def test_diesel_bisection_frontier_equals_full_enumeration(fortnight_load):
     assert oracle_cache.unique_simulations < cache.unique_simulations
 
 
-@pytest.mark.parametrize("bess_ratio_h", sorted(RECALL_672_BY_RATIO))
-def test_pipeline_recall_on_672_steps_is_golden(fortnight_load, bess_ratio_h):
-    space = space_for(fortnight_load, bess_ratio_h)
+@pytest.fixture(scope="module", params=sorted(RECALL_672_BY_RATIO))
+def fortnight_pipeline(request, fortnight_load):
+    """(battery ratio, space, report) of a pinned 672-step pipeline at 21 fine levels."""
+    space = space_for(fortnight_load, request.param)
     search_config = SearchConfig(fine_level_points=21, rng_seed=PIPELINE_SEED)
+    return request.param, space, run_pipeline(space, fortnight_load, DispatchConfig(), search_config)
+
+
+def test_pipeline_recall_on_672_steps_is_golden(fortnight_load, fortnight_pipeline):
+    bess_ratio_h, space, report = fortnight_pipeline
     cache = SimulationCache(space, fortnight_load, DispatchConfig())
-    frontier = diesel_bisection_frontier(cache, build_grids(space, 21), search_config.deficit_display_threshold)
+    frontier = diesel_bisection_frontier(cache, build_grids(space, 21), SearchConfig().deficit_display_threshold)
     exact = {d.capacities for d in frontier}
     exact_zero = {d.capacities for d in frontier if d.deficit_ratio == 0}
-    report = run_pipeline(space, fortnight_load, DispatchConfig(), search_config)
     found = {d.capacities for d in report.final_designs}
     found_zero = {d.capacities for d in report.final_designs if d.deficit_ratio == 0}
     assert found_zero <= exact_zero  # no zero-deficit final lies off the exact frontier
@@ -152,3 +169,36 @@ def test_pipeline_recall_on_672_steps_is_golden(fortnight_load, bess_ratio_h):
         (len(found_zero), len(exact_zero)),
         (len(found & exact), len(exact)),
     ) == RECALL_672_BY_RATIO[bess_ratio_h]
+    runs = {stage: counts["dispatch_runs"] for stage, counts in report.per_stage_counts.items()}
+    assert runs == RECALL_672_DISPATCH_RUNS[bess_ratio_h]
+
+
+def assert_finals_match_the_folded_specification(space, load, report, level_points):
+    """Each final's metrics equal the folded `dispatch_step`'s bit for bit, and a
+    zero-deficit final lowered one level in any DER has a deficit under the fold."""
+    config = DispatchConfig()
+
+    def folded(design):
+        outcome = fold_dispatch_step(space, design, load, config)
+        ratios = tuple(unused_ratio(outcome, i, c) for i, c in enumerate(design.capacities))
+        return EvaluatedDesign(design, deficit_ratio(outcome, load), ratios)
+
+    grids = build_grids(space, level_points)
+    for final in report.final_designs:
+        assert repr(folded(final.design)) == repr(final)
+        if final.deficit_ratio == 0:
+            levels = [g.level(c) for g, c in zip(grids, final.capacities)]
+            assert all(g.points[k] == c for g, k, c in zip(grids, levels, final.capacities))
+            for i, k in enumerate(levels):
+                if k > 0:
+                    lower = MicrogridDesign(final.capacities[:i] + (grids[i].points[k - 1],) + final.capacities[i + 1 :])
+                    assert folded(lower).deficit_ratio > 0, (final.capacities, i)
+
+
+def test_desk_finals_at_41_levels_match_the_folded_specification(desk_load, desk_space, desk_pipeline_41):
+    assert_finals_match_the_folded_specification(desk_space, desk_load, desk_pipeline_41, 41)
+
+
+def test_672_step_finals_match_the_folded_specification(fortnight_load, fortnight_pipeline):
+    _, space, report = fortnight_pipeline
+    assert_finals_match_the_folded_specification(space, fortnight_load, report, 21)

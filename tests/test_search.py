@@ -8,7 +8,7 @@ import random
 import pytest
 
 from dersizer import search, simulator
-from dersizer.core import DerKind, DerSpec, DesignSpace, MicrogridDesign
+from dersizer.core import DerKind, DerSpec, DesignSpace, MicrogridDesign, non_dominated
 from dersizer.search import (
     SearchConfig,
     SearchSpaceTooLarge,
@@ -273,6 +273,48 @@ def test_binary_search_deterministic_for_fixed_rng(desk_load, desk_space, desk_d
     assert first == second
 
 
+def plain_order_binary_search(cache, grids, seeds, rng, passes):
+    """`binary_search_refine` with each seed walked in seed order, on the same child rngs."""
+    evaluate, record = search._evaluator(cache, grids)
+    tops = [g.n_intervals for g in grids]
+    for seed_design, child in zip(seeds, [rng.getrandbits(64) for _ in seeds]):
+        seed_rng = random.Random(child)
+        start = tuple(g.level(c) for g, c in zip(grids, seed_design.capacities))
+        base = evaluate(start)
+        for _ in range(passes):
+            decrease = base.deficit_ratio == 0
+            levels, current = start, base
+            order = list(range(len(grids)))
+            seed_rng.shuffle(order)
+            for i in order:
+                h = initial_step_size(tops[i])
+                while h >= 1:
+                    levels, current, bounded = search._walk(evaluate, levels, current, i, tops[i], -h if decrease else h)
+                    if bounded and not decrease and current.deficit_ratio == 0:
+                        decrease = True
+                    h //= 2
+    return list({d.capacities: d for d in record.values()}.values())
+
+
+def test_binary_search_seed_grouping_matches_the_seed_order_with_fewer_runs(
+    desk_load, desk_space, desk_dispatch, monkeypatch
+):
+    # about three pre-diesel entries, so the walk order decides what the memo still holds
+    monkeypatch.setattr(simulator, "PRE_DIESEL_MEMO_FLOATS", 3 * 4 * len(desk_load))
+    grids = build_grids(desk_space, 41)
+    results = []
+    for refine in (plain_order_binary_search, binary_search_refine):
+        cache = SimulationCache(desk_space, desk_load, desk_dispatch)
+        seeds = exhaustive_search(cache, desk_space, desk_load, desk_dispatch, 6)
+        before = cache.dispatch_runs
+        out = refine(cache, grids, seeds, random.Random(7), len(grids))
+        results.append((cache.dispatch_runs - before, cache.unique_simulations, out))
+    (plain_runs, plain_sims, plain), (grouped_runs, grouped_sims, grouped) = results
+    assert repr(non_dominated(grouped)) == repr(non_dominated(plain))
+    assert sorted(map(repr, grouped)) == sorted(map(repr, plain)) and grouped_sims == plain_sims
+    assert grouped_runs < plain_runs  # 374 against 412
+
+
 # ---------------------------------------------------------------------------
 # local search
 
@@ -428,8 +470,9 @@ def test_pipeline_fingerprint_independent_of_memo_budget(
     assert without_dispatch_runs(report_fingerprint(memoized)) == without_dispatch_runs(
         report_fingerprint(unmemoized)
     )
-    for stage, counts in unmemoized.per_stage_counts.items():
-        assert counts["dispatch_runs"] == counts["simulations"], stage
+    # even over budget the memo keeps its newest entry, and the exhaustive
+    # stage visits each PV and battery column's diesel levels back to back
+    assert unmemoized.per_stage_counts["exhaustive"]["dispatch_runs"] == config.coarse_level_points**2 == 36
     runs = sum(c["dispatch_runs"] for c in memoized.per_stage_counts.values())
     assert runs < memoized.all_simulated
 

@@ -458,6 +458,19 @@ def test_pre_diesel_runs_an_evicted_vector_again_to_equal_arrays(desk_load, desk
     assert [a.tobytes() for a in again[1:]] == [a.tobytes() for a in second[1:]]
 
 
+def test_pre_diesel_keeps_its_newest_entry_when_it_alone_exceeds_the_budget():
+    # four rows (PV and battery draw, battery availability, residual) of
+    # 32,769 quarter hours: four floats over PRE_DIESEL_MEMO_FLOATS
+    load = synthetic_load_profile(n_steps=32_769, step_seconds=900.0)
+    cache = SimulationCache(space_for(load), load, DispatchConfig())
+    for diesel in (0.0, 40.0, 80.0):
+        operate(cache.space, MicrogridDesign((diesel, 100.0, 200.0)), load, cache.config, cache)
+    assert 4 * len(load) > simulator.PRE_DIESEL_MEMO_FLOATS
+    assert (cache.dispatch_runs, list(cache._pre_diesel)) == (1, [(100.0, 200.0)])
+    cache.pre_diesel((0.0, 50.0, 200.0))  # a second vector evicts the first
+    assert (cache.dispatch_runs, list(cache._pre_diesel)) == (2, [(50.0, 200.0)])
+
+
 def test_discharge_capability_zero_capacity():
     spec = DerSpec(name="b", kind=DerKind.BATTERY_STORAGE, upper_bound=10.0, charge_ratio=2.0, discharge_ratio=2.0)
     state = initial_bess_state(spec, 0.0, DispatchConfig())
@@ -638,6 +651,18 @@ TWO_WEEK_MIXED_SPACE = DesignSpace(
 )
 SLOW_BATTERY_DESIGNS = ((33.1875, 99.375, 198.0), (0.0, 265.0, 110.0), (45.0, 265.0, 440.0))
 MIXED_DESIGNS = ((265.0, 200.0, 200.0, 300.0, 45.0), (120.0, 120.0, 80.0, 200.0, 30.0), (20.0, 20.0, 60.0, 110.0, 45.0))
+# The mixed space with a 2 h battery between the 1 h and the 4 h one. The
+# kernel steps one battery at a time over the whole horizon: in both designs
+# the first battery sits at its floor through steps where a later one still
+# discharges, and in the second the middle battery has zero capacity.
+THREE_BATTERY_SPACE = DesignSpace(
+    ders=(
+        *TWO_WEEK_MIXED_SPACE.ders[:3],
+        DerSpec(name="mid", kind=DerKind.BATTERY_STORAGE, upper_bound=440.0, charge_ratio=2.0, discharge_ratio=2.0),
+        *TWO_WEEK_MIXED_SPACE.ders[3:],
+    )
+)
+THREE_BATTERY_DESIGNS = ((120.0, 40.0, 30.0, 100.0, 200.0, 30.0), (120.0, 40.0, 30.0, 0.0, 200.0, 30.0))
 
 
 @pytest.mark.parametrize(
@@ -646,6 +671,7 @@ MIXED_DESIGNS = ((265.0, 200.0, 200.0, 300.0, 45.0), (120.0, 120.0, 80.0, 200.0,
         pytest.param(partial(space_for, bess_ratio_h=2.0), SLOW_BATTERY_DESIGNS, id="2.0"),
         pytest.param(partial(space_for, bess_ratio_h=4.0), SLOW_BATTERY_DESIGNS, id="4.0"),
         pytest.param(lambda load: TWO_WEEK_MIXED_SPACE, MIXED_DESIGNS, id="pv-wind-two-batteries"),
+        pytest.param(lambda load: THREE_BATTERY_SPACE, THREE_BATTERY_DESIGNS, id="pv-wind-three-batteries"),
     ],
 )
 def test_operate_bitwise_equals_folded_dispatch_step_over_two_weeks(make_space, designs):
@@ -665,6 +691,16 @@ def test_operate_bitwise_equals_folded_dispatch_step_over_two_weeks(make_space, 
             a, b = getattr(got, field), getattr(want, field)
             assert (a.dtype, a.shape) == (b.dtype, b.shape), field
             assert a.tobytes() == b.tobytes(), (field, design)
+
+
+def test_three_battery_designs_reach_the_first_battery_floor_while_a_later_one_gives():
+    # `operate` is checked against the fold above; here it shows what the cases reach
+    load = two_week_profile()
+    for capacities, later in zip(THREE_BATTERY_DESIGNS, (3, 4)):
+        outcome = operate(THREE_BATTERY_SPACE, MicrogridDesign(capacities), load, DispatchConfig())
+        # no discharge capability: the first battery is at its floor
+        at_floor = outcome.per_der_available[2] == 0
+        assert (at_floor & (outcome.per_der_used[later] > 0)).any(), capacities
 
 
 def test_operate_with_memo_bitwise_equals_without(monkeypatch):
