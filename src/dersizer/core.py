@@ -63,6 +63,7 @@ class DerSpec:
                 raise ValueError(f"{self.name}: {label} must be finite, got {value}")
         if self.lower_bound < 0:
             raise ValueError(f"{self.name}: lower_bound must be >= 0")
+        object.__setattr__(self, "lower_bound", self.lower_bound + 0)  # folds -0.0: no output prints it
         if self.lower_bound > self.upper_bound:
             raise ValueError(f"{self.name}: lower_bound exceeds upper_bound")
         is_battery = self.kind is DerKind.BATTERY_STORAGE
@@ -271,23 +272,25 @@ def deficit_ratio(outcome: SimulationOutcome, load: LoadProfile) -> float:
 
 
 def unused_ratio(outcome: SimulationOutcome, der_index: int, capacity: float) -> float:
-    """Fraction of availability steps where a DER was underused.
-
-    Only steps where the DER actually had power available count toward the
-    denominator (a PV array contributes nothing at night, so night steps are
-    excluded). Steps are counted unweighted. Returns -1 for zero capacity or
-    when the DER never had power available.
-    """
+    """Fraction of availability steps where a DER was underused: `unused_ratio_of_rows` on its rows."""
     if not 0 <= der_index < outcome.per_der_available.shape[0]:
         raise ValueError(f"der_index {der_index} out of range")
+    return unused_ratio_of_rows(outcome.per_der_available[der_index], outcome.per_der_used[der_index], capacity)
+
+
+def unused_ratio_of_rows(available: np.ndarray, used: np.ndarray, capacity: float) -> float:
+    """Fraction of availability steps where a DER with these rows was underused.
+
+    Steps count unweighted, and only those where the DER had power available
+    (a PV array has none at night). -1 for zero capacity or no power ever.
+    """
     if capacity == 0:
         return -1.0
-    available = outcome.per_der_available[der_index]
     mask = available > EPS_POWER
     n_available = int(np.count_nonzero(mask))
     if n_available == 0:
         return -1.0
-    mask &= outcome.per_der_used[der_index] < available - EPS_POWER
+    mask &= used < available - EPS_POWER
     return int(np.count_nonzero(mask)) / n_available
 
 

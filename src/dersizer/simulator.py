@@ -27,6 +27,7 @@ from .core import (
     SimulationOutcome,
     deficit_ratio,
     unused_ratio,
+    unused_ratio_of_rows,
 )
 
 
@@ -224,12 +225,17 @@ PRE_DIESEL_MEMO_FLOATS = 2**17
 
 
 class _PreDiesel(NamedTuple):
-    """What the dispatch before diesel leaves for one non-diesel capacity vector: `bess`, then arrays."""
+    """What the dispatch before diesel leaves for one non-diesel capacity vector, and its unused ratios."""
 
     bess: tuple[int, ...]  # the DER indices of its nonzero batteries, in merit order
     used: np.ndarray  # renewable rows (charging included), then one row per battery in `bess`
     bess_available: np.ndarray
     residual: np.ndarray  # the load left for diesel
+    unused: dict[int, float]  # each non-diesel DER's unused ratio, by DER index
+
+    @property
+    def floats(self) -> int:
+        return self.used.size + self.bess_available.size + self.residual.size
 
 
 class SimulationCache:
@@ -241,12 +247,7 @@ class SimulationCache:
     ValueError for another input; an equal but distinct object is the same
     input. It holds:
     - the metrics of every design evaluated, keyed by `key_for`;
-    - the memo of the dispatch before diesel, described at `pre_diesel`;
-    - the unused ratios of the non-diesel DERs by DER index, keyed by
-      `non_diesel_key`. They are exact for every diesel level, because
-      diesel is served last and writes only its own rows. The table holds
-      one small dict per distinct non-diesel vector, at most one per unique
-      simulation, apart from the memo so it neither evicts nor is evicted.
+    - the memo of what depends on the non-diesel capacities alone, described at `pre_diesel`.
     Not safe for concurrent use.
     """
 
@@ -270,7 +271,6 @@ class SimulationCache:
         self._designs: dict[tuple[float, ...], EvaluatedDesign] = {}
         self._pre_diesel: OrderedDict[tuple[float, ...], _PreDiesel] = OrderedDict()
         self._pre_diesel_floats = 0
-        self._non_diesel_ratios: dict[tuple[float, ...], dict[int, float]] = {}
         self.dispatch_runs = 0  # pre-diesel dispatches run; at most `unique_simulations`
 
     @staticmethod
@@ -297,14 +297,15 @@ class SimulationCache:
         Renewables serve load in merit order, then the batteries step through
         time (`_step_batteries`, which with no battery copies the residual).
         A zero-capacity battery neither charges nor discharges, so it is not
-        in `entry.bess`. Diesel is served last and holds no state, and
-        batteries charge only from renewable surplus, so this depends on the
-        non-diesel capacities alone. It is memoised by `non_diesel_key`, so
-        -0.0 and 0.0 share an entry. Entries are read-only, as later calls
-        share them, and the least recently used go once they exceed
-        PRE_DIESEL_MEMO_FLOATS floats, but the newest stays even when it
-        alone exceeds them. `dispatch_runs` counts the dispatches run; an
-        evicted vector runs again to equal arrays.
+        in `entry.bess`. Diesel is served last, holds no state and writes only
+        its own rows, and batteries charge only from renewable surplus, so
+        this, and the non-diesel DERs' unused ratios that the entry computes
+        from its rows, depend on the non-diesel capacities alone. It is
+        memoised by `non_diesel_key`, so -0.0 and 0.0 share an entry. Entries
+        are read-only, as later calls share them, and the least recently used
+        go once their arrays exceed PRE_DIESEL_MEMO_FLOATS floats, but the
+        newest stays even when it alone exceeds them. `dispatch_runs` counts
+        the dispatches run; an evicted vector runs again to equal arrays.
         """
         key = self.non_diesel_key(caps)
         entry = self._pre_diesel.get(key)
@@ -318,14 +319,17 @@ class SimulationCache:
         remaining = self.demand
         for source_available, source_used in zip(available, used):
             remaining = _serve(source_available, source_used, remaining)
-        entry = _PreDiesel(bess, used, *_step_batteries(self, caps, bess, available, used, remaining))
-        for arr in entry[1:]:
+        bess_available, residual = _step_batteries(self, caps, bess, available, used, remaining)
+        unused = dict.fromkeys(self.non_diesel_idx, -1.0)  # a zero-capacity battery has no rows
+        for i, available_row, used_row in zip((*self.renewable_idx, *bess), (*available, *bess_available), used):
+            unused[i] = unused_ratio_of_rows(available_row, used_row, caps[i])
+        for arr in (used, bess_available, residual):
             arr.flags.writeable = False
-        self._pre_diesel[key] = entry
-        self._pre_diesel_floats += sum(arr.size for arr in entry[1:])
+        entry = self._pre_diesel[key] = _PreDiesel(bess, used, bess_available, residual, unused)
+        self._pre_diesel_floats += entry.floats
         while self._pre_diesel_floats > PRE_DIESEL_MEMO_FLOATS and len(self._pre_diesel) > 1:
             _, old = self._pre_diesel.popitem(last=False)
-            self._pre_diesel_floats -= sum(arr.size for arr in old[1:])
+            self._pre_diesel_floats -= old.floats
         return entry
 
 
@@ -376,25 +380,20 @@ def operate(
 def memoized_operate(cache: SimulationCache, *, design: MicrogridDesign) -> EvaluatedDesign:
     """Evaluate a design on the cache's own input, simulating only on a miss.
 
-    A miss runs `operate` once (see `SimulationCache.pre_diesel` for what it
-    reuses). The unused ratios of the non-diesel DERs are computed only for
-    a non-diesel capacity vector the cache has not seen; they depend on
-    nothing else, because diesel is served last and writes only its own
-    rows. The metrics equal those of an evaluation without the cache bit
-    for bit.
+    Every call validates the design, so a hit raises as a miss would. A miss
+    runs `operate` once (see `SimulationCache.pre_diesel` for what it
+    reuses), then takes the non-diesel unused ratios from the pre-diesel
+    entry, which stays the newest, and computes only the diesel ones. The
+    metrics equal those of an evaluation without the cache bit for bit.
     """
     key = cache.key_for(design)
     hit = cache._designs.get(key)
     if hit is not None:
+        cache.space.validate_design(design)
         return hit
     outcome = operate(cache.space, design, cache.load, cache.config, cache)
-    caps = design.capacities
-    non_diesel_key = cache.non_diesel_key(caps)
-    non_diesel = cache._non_diesel_ratios.get(non_diesel_key)
-    if non_diesel is None:
-        non_diesel = {i: unused_ratio(outcome, i, caps[i]) for i in cache.non_diesel_idx}
-        cache._non_diesel_ratios[non_diesel_key] = non_diesel
-    ratios = [non_diesel[i] if i in non_diesel else unused_ratio(outcome, i, c) for i, c in enumerate(caps)]
+    unused = cache.pre_diesel(design.capacities).unused
+    ratios = [unused[i] if i in unused else unused_ratio(outcome, i, c) for i, c in enumerate(design.capacities)]
     evaluated = EvaluatedDesign(design, deficit_ratio(outcome, cache.load), tuple(ratios))
     cache._designs[key] = evaluated
     return evaluated

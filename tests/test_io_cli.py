@@ -726,6 +726,22 @@ def test_cli_null_der_number_counts_as_absent(desk_cli_dir):
     assert out_nulls.read_bytes() == out_plain.read_bytes()
 
 
+def test_cli_negative_zero_lower_bound_writes_what_zero_writes(desk_cli_dir):
+    doc = json.loads((desk_cli_dir / "config.json").read_text())
+    outs = {}
+    for bound in ("0", "-0.0"):
+        for der in doc["ders"]:
+            der["lower_bound"] = json.loads(bound)
+        config = desk_cli_dir / f"bound{bound}.json"
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        for fmt in ("csv", "json"):
+            outs[bound, fmt] = desk_cli_dir / f"bound{bound}.{fmt}"
+            argv = ("exhaustive", "--config", str(config), "--levels", "3", "--format", fmt)
+            assert run_cli(*argv, "--out", str(outs[bound, fmt])) == 0
+    assert outs["-0.0", "csv"].read_bytes() == outs["0", "csv"].read_bytes()
+    assert "-0.0" not in outs["-0.0", "csv"].read_text() + outs["-0.0", "json"].read_text()
+
+
 def test_cli_empty_daylight_window_exits_2(desk_cli_dir, capsys):
     # rejected with the dispatch config, before the safety cap is consulted
     doc = json.loads((desk_cli_dir / "config.json").read_text())

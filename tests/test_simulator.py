@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dersizer import simulator
+from dersizer import core, simulator
 from dersizer.core import (
     EPS_POWER,
     DerKind,
@@ -382,35 +382,50 @@ def test_memoized_operate_rejects_a_negative_capacity_and_caches_nothing(desk_lo
     with pytest.raises(ValueError, match="battery: capacity"):
         memoized_operate(cache, design=MicrogridDesign((45.0, 106.0, -5e-10)))
     assert (cache.unique_simulations, cache.dispatch_runs) == (0, 0)
-    assert not cache._pre_diesel and not cache._non_diesel_ratios
+    assert not cache._pre_diesel
     evaluated = memoized_operate(cache, design=MicrogridDesign((45.0, 106.0, -0.0)))
     assert evaluated.unused_ratios[2] == -1.0
+
+
+def test_memoized_operate_validates_a_design_whose_key_it_holds(desk_load, desk_space, desk_dispatch):
+    cache = SimulationCache(desk_space, desk_load, desk_dispatch)
+    memoized_operate(cache, design=MicrogridDesign((90.0, 0.0, 0.0)))
+    # rounds to the cached key, but lies outside diesel's bounds, as a fresh cache says
+    outside = MicrogridDesign((90.0000004, 0.0, 0.0))
+    for target in (cache, SimulationCache(desk_space, desk_load, desk_dispatch)):
+        with pytest.raises(ValueError, match=r"^diesel: capacity 90.0000004 outside \[0.0, 90.0\]$"):
+            memoized_operate(target, design=outside)
+    assert cache.unique_simulations == 1
 
 
 def test_diesel_only_change_computes_only_the_diesel_unused_ratio(desk_load, desk_space, desk_dispatch, monkeypatch):
     cache = SimulationCache(desk_space, desk_load, desk_dispatch)
     computed = []
+    row_helper = core.unused_ratio_of_rows
 
-    def counting_unused_ratio(outcome, der_index, capacity):
-        computed.append(der_index)
-        return unused_ratio(outcome, der_index, capacity)
+    def counting_unused_ratio_of_rows(available, used, capacity):
+        computed.append(capacity)
+        return row_helper(available, used, capacity)
 
-    monkeypatch.setattr(simulator, "unused_ratio", counting_unused_ratio)
+    # the entry calls the helper through the simulator, `unused_ratio` through core
+    for module in (core, simulator):
+        monkeypatch.setattr(module, "unused_ratio_of_rows", counting_unused_ratio_of_rows)
     design = MicrogridDesign((90.0, 106.0, 176.0))
     first = memoized_operate(cache, design=design)
-    assert sorted(computed) == [0, 1, 2]
+    assert sorted(computed) == [90.0, 106.0, 176.0]
     computed.clear()
     second = memoized_operate(cache, design=with_capacity(design, 0, 45.0))
-    assert computed == [0]  # the solar and battery ratios come from the table
+    assert computed == [45.0]  # the solar and battery ratios come from the pre-diesel entry
     assert second.unused_ratios[1:] == first.unused_ratios[1:]
-    assert (cache.unique_simulations, cache.dispatch_runs, len(cache._non_diesel_ratios)) == (2, 1, 1)
+    assert (cache.unique_simulations, cache.dispatch_runs, len(cache._pre_diesel)) == (2, 1, 1)
 
 
 def test_pre_diesel_runs_a_battery_vector_once(desk_load, desk_space, desk_dispatch):
     cache = SimulationCache(desk_space, desk_load, desk_dispatch)
     entry = cache.pre_diesel((90.0, 0.0, 88.0))
     assert (entry.bess, cache.dispatch_runs) == ((2,), 1)
-    assert not any(arr.flags.writeable for arr in entry[1:])
+    assert not any(arr.flags.writeable for arr in (entry.used, entry.bess_available, entry.residual))
+    assert entry.unused[1] == -1.0 and list(entry.unused) == [1, 2]
     # another diesel level, and -0.0 for 0.0: the same non-diesel vector
     for caps in ((45.0, 0.0, 88.0), (0.0, -0.0, 88.0)):
         assert cache.pre_diesel(caps) is entry
@@ -421,7 +436,8 @@ def test_pre_diesel_runs_a_battery_less_vector_once(desk_load, desk_space, desk_
     cache = SimulationCache(desk_space, desk_load, desk_dispatch)
     entry = cache.pre_diesel((90.0, 53.0, -0.0))
     assert (entry.bess, cache.dispatch_runs) == ((), 1)
-    assert not any(arr.flags.writeable for arr in entry[1:])
+    assert not any(arr.flags.writeable for arr in (entry.used, entry.bess_available, entry.residual))
+    assert entry.unused[2] == -1.0  # a zero-capacity battery has no rows
     assert entry.bess_available.shape == (0, len(desk_load))
     # a PV row of `used` and the residual
     assert cache._pre_diesel_floats == 2 * len(desk_load)
@@ -455,7 +471,9 @@ def test_pre_diesel_runs_an_evicted_vector_again_to_equal_arrays(desk_load, desk
     again = cache.pre_diesel((0.0, 106.0, 88.0))
     assert again is not second and cache.dispatch_runs == 4
     assert again.bess == second.bess == (2,)
-    assert [a.tobytes() for a in again[1:]] == [a.tobytes() for a in second[1:]]
+    for name in ("used", "bess_available", "residual"):
+        assert getattr(again, name).tobytes() == getattr(second, name).tobytes(), name
+    assert repr(again.unused) == repr(second.unused)
 
 
 def test_pre_diesel_keeps_its_newest_entry_when_it_alone_exceeds_the_budget():
@@ -813,7 +831,16 @@ def test_memoized_reuse_equals_cache_free_metrics_property(case, memo_entries):
     first: dict[tuple[float, ...], MicrogridDesign] = {}
     # a budget of about `memo_entries` entries, so revisited vectors meet evicted ones
     budget = memo_entries * len(space.ders) * len(load)
-    with mock.patch.object(simulator, "PRE_DIESEL_MEMO_FLOATS", budget):
+    operate_calls = []
+
+    def counting_operate(*args):
+        operate_calls.append(args)
+        return operate(*args)
+
+    with (
+        mock.patch.object(simulator, "PRE_DIESEL_MEMO_FLOATS", budget),
+        mock.patch.object(simulator, "operate", counting_operate),
+    ):
         cache = SimulationCache(space, load, config)
         for design in designs:
             got = memoized_operate(cache, design=design)
@@ -826,6 +853,10 @@ def test_memoized_reuse_equals_cache_free_metrics_property(case, memo_entries):
                 unused_ratios=tuple(unused_ratio(outcome, i, c) for i, c in enumerate(design.capacities)),
             )
             assert repr(got) == repr(want)
-    non_diesel = {cache.non_diesel_key(d.capacities) for d in first.values()}
-    assert set(cache._non_diesel_ratios) == non_diesel
-    assert len(cache._non_diesel_ratios) <= cache.unique_simulations == len(first)
+    # `operate` runs once per miss and never on a hit
+    assert len(operate_calls) == cache.unique_simulations == len(first)
+    # each visited vector's entry, still held or run again after eviction, has its outcome's unused ratios
+    for design in designs:
+        outcome = operate(space, design, load, config)
+        want = {i: unused_ratio(outcome, i, design.capacities[i]) for i in cache.non_diesel_idx}
+        assert repr(cache.pre_diesel(design.capacities).unused) == repr(want)
