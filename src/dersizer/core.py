@@ -63,7 +63,8 @@ class DerSpec:
                 raise ValueError(f"{self.name}: {label} must be finite, got {value}")
         if self.lower_bound < 0:
             raise ValueError(f"{self.name}: lower_bound must be >= 0")
-        object.__setattr__(self, "lower_bound", self.lower_bound + 0)  # folds -0.0: no output prints it
+        for label in ("lower_bound", "upper_bound"):
+            object.__setattr__(self, label, getattr(self, label) + 0)  # folds -0.0: no output prints it
         if self.lower_bound > self.upper_bound:
             raise ValueError(f"{self.name}: lower_bound exceeds upper_bound")
         is_battery = self.kind is DerKind.BATTERY_STORAGE
@@ -303,19 +304,26 @@ def non_dominated(designs: list[EvaluatedDesign]) -> list[EvaluatedDesign]:
     the entries already kept. Capacity vectors are distinct after the
     dedup, so a kept entry dominates a later one exactly when its
     capacities are componentwise no larger: each kept entry eliminates
-    those in one array operation.
+    those with no capacity below its own, one capacity column at a time.
+    A dominator's deficit is no larger than what it dominates, so when
+    designs that share a capacity vector share a deficit, filtering by a
+    deficit bound before or after this gives the same list.
     """
     seen: dict[tuple[float, ...], EvaluatedDesign] = {}
     for d in designs:
         seen.setdefault(d.capacities, d)
     ordered = sorted(seen.values(), key=lambda d: (d.deficit_ratio, d.capacities))
-    caps = np.array([d.capacities for d in ordered], dtype=float)
+    # one contiguous array per capacity column
+    columns = list(np.array([d.capacities for d in ordered], dtype=float).T.copy())
     alive = np.ones(len(ordered), dtype=bool)
     kept: list[EvaluatedDesign] = []
     for i, d in enumerate(ordered):
         if alive[i]:
             kept.append(d)
-            alive[i + 1 :] &= ~(caps[i + 1 :] >= caps[i]).all(axis=1)
+            below = columns[0][i + 1 :] < columns[0][i]
+            for column in columns[1:]:
+                below |= column[i + 1 :] < column[i]
+            alive[i + 1 :] &= below
     kept.sort(key=lambda d: d.capacities)
     return kept
 

@@ -209,6 +209,22 @@ def _walk(
         levels, current = moved, evaluated
 
 
+def _sweep(
+    evaluate: Evaluate, levels: Levels, current: EvaluatedDesign, i: int, top: int, decrease: bool
+) -> tuple[Levels, EvaluatedDesign, bool]:
+    """Walk DER `i` from `levels` (design `current`) in halving steps; return the end and its direction.
+
+    A feasible design at the top bound turns an upward sweep downward.
+    """
+    h = initial_step_size(top)
+    while h >= 1:
+        levels, current, bounded = _walk(evaluate, levels, current, i, top, -h if decrease else h)
+        if bounded and not decrease and current.deficit_ratio == 0:
+            decrease = True
+        h //= 2
+    return levels, current, decrease
+
+
 def binary_search_refine(
     cache: SimulationCache,
     grids: tuple[CapacityGrid, ...],
@@ -233,6 +249,11 @@ def binary_search_refine(
     returned list moves, unless `key_for` rounds two fine-grid points to
     one key (a grid spacing below 1e-6): the one asked for first is then
     simulated for both, and walks through the other may differ.
+
+    A sweep is a function of its start levels, DER and direction, so one
+    that starts where an earlier one did takes that sweep's end instead of
+    walking again. Every level tuple it would ask for is in the record
+    already, so this changes no evaluation and no order.
     """
     if not seeds:
         raise ValueError("binary search needs a non-empty seed set")
@@ -241,6 +262,8 @@ def binary_search_refine(
     child_seeds = [rng.getrandbits(64) for _ in seeds]
     starts = [tuple([g.level(c) for g, c in zip(grids, d.capacities)]) for d in seeds]
     walks = sorted(zip(starts, child_seeds), key=lambda walk: [walk[0][i] for i in cache.non_diesel_idx])
+    # (levels, DER, decrease) at a sweep's start -> (levels, design, decrease) at its end
+    sweeps: dict[tuple[Levels, int, bool], tuple[Levels, EvaluatedDesign, bool]] = {}
     for start, child in walks:
         seed_rng = random.Random(child)
         base = evaluate(start)
@@ -252,14 +275,10 @@ def binary_search_refine(
             order = list(range(len(grids)))
             seed_rng.shuffle(order)
             for i in order:
-                h = initial_step_size(tops[i])
-                while h >= 1:
-                    step = -h if decrease else h
-                    levels, current, bounded = _walk(evaluate, levels, current, i, tops[i], step)
-                    # a feasible design at the top bound turns the search back downward
-                    if bounded and not decrease and current.deficit_ratio == 0:
-                        decrease = True
-                    h //= 2
+                key = (levels, i, decrease)
+                if key not in sweeps:
+                    sweeps[key] = _sweep(evaluate, levels, current, i, tops[i], decrease)
+                levels, current, decrease = sweeps[key]
     return list({d.capacities: d for d in record.values()}.values())
 
 
@@ -327,10 +346,14 @@ def search_report(
     search_config: SearchConfig,
     started: float,
 ) -> SearchReport:
-    """The report of a search on `cache`: its non-dominated `designs` within the display threshold."""
+    """The report of a search on `cache`: its non-dominated `designs` within the display threshold.
+
+    The threshold applies first, which leaves fewer designs to compare and
+    keeps the same ones (see `non_dominated`).
+    """
     threshold = search_config.deficit_display_threshold
     return SearchReport(
-        final_designs=tuple(d for d in non_dominated(designs) if d.deficit_ratio <= threshold),
+        final_designs=tuple(non_dominated([d for d in designs if d.deficit_ratio <= threshold])),
         all_simulated=cache.unique_simulations,
         per_stage_counts=counts,
         elapsed_seconds=time.perf_counter() - started,

@@ -7,6 +7,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dersizer.core import (
     EPS_POWER,
@@ -284,15 +286,15 @@ def test_non_dominated_sorted_lexicographically():
     assert caps == sorted(caps)
 
 
-def test_non_dominated_matches_bruteforce():
+@pytest.mark.parametrize(
+    "n_ders, size", [(1, 40), (2, 40), (3, 40), (4, 40), (3, 0)], ids=["1-der", "2-ders", "3-ders", "4-ders", "empty"]
+)
+def test_non_dominated_matches_bruteforce(n_ders, size):
     rng = random.Random(23)
     for _ in range(20):
         pool = [
-            ev(
-                (rng.randrange(0, 81, 20), rng.randrange(0, 81, 20), rng.randrange(0, 81, 20)),
-                rng.choice([0.0, 0.0, 0.1, 0.3]),
-            )
-            for _ in range(40)
+            ev(tuple(rng.randrange(0, 81, 20) for _ in range(n_ders)), rng.choice([0.0, 0.0, 0.1, 0.3]))
+            for _ in range(size)
         ]
         kept = non_dominated(pool)
         first_seen = {}
@@ -318,6 +320,25 @@ def test_non_dominated_matches_bruteforce():
         for caps in removed:
             victim = next(d for d in unique if d.capacities == caps)
             assert any(dominates(s, victim) for s in kept)
+
+
+DEFICITS = st.sampled_from([0.0, 0.004, 0.01, 0.02, 0.1])
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.lists(st.tuples(st.tuples(*[st.sampled_from([0, 20, 40])] * n), DEFICITS), max_size=30)
+    ),
+    st.sampled_from([0.0, 0.004, 0.01, 0.05]),
+)
+def test_non_dominated_after_the_threshold_equals_the_threshold_after_it(drawn, threshold):
+    # a capacity vector keeps its first drawn deficit, as a design's metrics do
+    deficit_of = {}
+    pool = [ev(caps, deficit_of.setdefault(caps, deficit)) for caps, deficit in drawn]
+    first = non_dominated([d for d in pool if d.deficit_ratio <= threshold])
+    after = [d for d in non_dominated(pool) if d.deficit_ratio <= threshold]
+    assert len(first) == len(after) and all(a is b for a, b in zip(first, after))
 
 
 # ---------------------------------------------------------------------------

@@ -742,6 +742,19 @@ def test_cli_negative_zero_lower_bound_writes_what_zero_writes(desk_cli_dir):
     assert "-0.0" not in outs["-0.0", "csv"].read_text() + outs["-0.0", "json"].read_text()
 
 
+def test_cli_negative_zero_upper_bound_reports_zero(desk_cli_dir, capsys):
+    doc = json.loads((desk_cli_dir / "config.json").read_text())
+    battery = next(der for der in doc["ders"] if der["kind"] == "battery_storage")
+    battery.pop("peak_multiplier", None)
+    battery["upper_bound"] = -0.0
+    config = desk_cli_dir / "upper.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    out = str(desk_cli_dir / "upper.csv")
+    assert run_cli("exhaustive", "--config", str(config), "--levels", "3", "--out", out) == 2
+    err = capsys.readouterr().err
+    assert "battery: degenerate capacity range [0.0, 0.0]" in err and "-0.0" not in err
+
+
 def test_cli_empty_daylight_window_exits_2(desk_cli_dir, capsys):
     # rejected with the dispatch config, before the safety cap is consulted
     doc = json.loads((desk_cli_dir / "config.json").read_text())

@@ -1,5 +1,6 @@
 """Algorithm traces on tiny instances, plus pipeline-level properties."""
 
+import functools
 import itertools
 import logging
 import math
@@ -21,7 +22,8 @@ from dersizer.search import (
     run_pipeline,
 )
 from dersizer.simulator import DispatchConfig, SimulationCache, memoized_operate
-from helpers import DESK_BESS_RATIO_H, constant_load, dominates, with_capacity
+from dersizer.synthetic import synthetic_load_profile
+from helpers import DESK_BESS_RATIO_H, constant_load, dominates, space_for, with_capacity
 
 
 @pytest.fixture()
@@ -273,13 +275,20 @@ def test_binary_search_deterministic_for_fixed_rng(desk_load, desk_space, desk_d
     assert first == second
 
 
-def plain_order_binary_search(cache, grids, seeds, rng, passes):
-    """`binary_search_refine` with each seed walked in seed order, on the same child rngs."""
+def plain_order_binary_search(cache, grids, seeds, rng, passes, grouped=False):
+    """`binary_search_refine` walking every sweep, each seed in seed order, on the same child rngs.
+
+    With `grouped`, the seeds are walked in the stage's order instead: stably
+    sorted by their snapped non-diesel levels.
+    """
     evaluate, record = search._evaluator(cache, grids)
     tops = [g.n_intervals for g in grids]
-    for seed_design, child in zip(seeds, [rng.getrandbits(64) for _ in seeds]):
+    starts = [tuple(g.level(c) for g, c in zip(grids, d.capacities)) for d in seeds]
+    walks = list(zip(starts, [rng.getrandbits(64) for _ in seeds]))
+    if grouped:
+        walks.sort(key=lambda walk: [walk[0][i] for i in cache.non_diesel_idx])
+    for start, child in walks:
         seed_rng = random.Random(child)
-        start = tuple(g.level(c) for g, c in zip(grids, seed_design.capacities))
         base = evaluate(start)
         for _ in range(passes):
             decrease = base.deficit_ratio == 0
@@ -313,6 +322,40 @@ def test_binary_search_seed_grouping_matches_the_seed_order_with_fewer_runs(
     assert repr(non_dominated(grouped)) == repr(non_dominated(plain))
     assert sorted(map(repr, grouped)) == sorted(map(repr, plain)) and grouped_sims == plain_sims
     assert grouped_runs < plain_runs  # 374 against 412
+
+
+@pytest.mark.parametrize("instance", ["desk-41", "672-steps-21"])
+def test_binary_search_sweep_replay_changes_nothing(instance, desk_load, desk_space, desk_dispatch, monkeypatch):
+    if instance == "desk-41":
+        load, space, levels = desk_load, desk_space, 41
+    else:
+        load = synthetic_load_profile(n_steps=672, step_seconds=1800.0, seed=7)
+        space, levels = space_for(load, bess_ratio_h=2.0), 21
+    grids = build_grids(space, levels)
+    asked, walks = [], []
+    real_operate, real_walk = search.memoized_operate, search._walk
+
+    def operate(cache, design):
+        asked.append(design)
+        return real_operate(cache, design=design)
+
+    def walk(*args):
+        walks.append(args)
+        return real_walk(*args)
+
+    monkeypatch.setattr(search, "memoized_operate", operate)
+    monkeypatch.setattr(search, "_walk", walk)
+    results = []
+    for refine in (functools.partial(plain_order_binary_search, grouped=True), binary_search_refine):
+        cache = SimulationCache(space, load, desk_dispatch)
+        seeds = exhaustive_search(cache, space, load, desk_dispatch, 6)
+        del asked[:], walks[:]
+        runs = cache.dispatch_runs
+        out = refine(cache, grids, seeds, random.Random(7), len(grids))
+        results.append((list(map(repr, out)), list(asked), cache.dispatch_runs - runs, len(walks)))
+    (plain, plain_asked, plain_runs, plain_walks), (replayed, replayed_asked, replayed_runs, replayed_walks) = results
+    assert replayed == plain and replayed_asked == plain_asked and replayed_runs == plain_runs
+    assert replayed_walks < plain_walks
 
 
 # ---------------------------------------------------------------------------
