@@ -296,23 +296,20 @@ def unused_ratio_of_rows(available: np.ndarray, used: np.ndarray, capacity: floa
 
 
 def non_dominated(designs: list[EvaluatedDesign]) -> list[EvaluatedDesign]:
-    """Deduplicate by capacity vector, drop dominated entries, sort ascending.
+    """Drop dominated and repeated entries, sort the rest by capacities.
 
     Deficit ratios and capacities must not be NaN. Sorted by (deficit ratio,
     capacities), a dominator comes strictly before whatever it dominates,
     and dominance is transitive, so each entry only needs checking against
-    the entries already kept. Capacity vectors are distinct after the
-    dedup, so a kept entry dominates a later one exactly when its
-    capacities are componentwise no larger: each kept entry eliminates
-    those with no capacity below its own, one capacity column at a time.
-    A dominator's deficit is no larger than what it dominates, so when
-    designs that share a capacity vector share a deficit, filtering by a
-    deficit bound before or after this gives the same list.
+    the entries already kept. The sort is stable, so a repeated capacity
+    vector comes first with its least deficit (the first listed, among
+    equal ones). Each kept entry then eliminates every later one with no
+    capacity below its own, one capacity column at a time: what it
+    dominates and its own repeats. A dominator's deficit is no larger than
+    what it dominates, so filtering by a deficit bound before or after this
+    gives the same list.
     """
-    seen: dict[tuple[float, ...], EvaluatedDesign] = {}
-    for d in designs:
-        seen.setdefault(d.capacities, d)
-    ordered = sorted(seen.values(), key=lambda d: (d.deficit_ratio, d.capacities))
+    ordered = sorted(designs, key=lambda d: (d.deficit_ratio, d.capacities))
     # one contiguous array per capacity column
     columns = list(np.array([d.capacities for d in ordered], dtype=float).T.copy())
     alive = np.ones(len(ordered), dtype=bool)

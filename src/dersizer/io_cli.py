@@ -525,14 +525,21 @@ def read_results_csv(text: str) -> tuple[list[str], list[str], list[EvaluatedDes
             continue
         if len(row) != len(header):
             raise ParseError(f"line {line_no}: expected {len(header)} fields, got {len(row)}")
-        try:
-            caps = tuple(float(c) for c in row[:deficit_at])
-            deficit = float(row[deficit_at])
-            unused = tuple(float(c) for c in row[deficit_at + 1 :])
+        try:  # + 0.0 folds a -0.0, which no results file holds
+            caps = tuple(float(c) + 0.0 for c in row[:deficit_at])
+            deficit = float(row[deficit_at]) + 0.0
+            unused = tuple(float(c) + 0.0 for c in row[deficit_at + 1 :])
         except ValueError:
             raise ParseError(f"line {line_no}: non-numeric value") from None
         if not all(math.isfinite(v) for v in caps + (deficit,) + unused):
             raise ParseError(f"line {line_no}: non-finite value")
+        if min(caps) < 0:
+            raise ParseError(f"line {line_no}: negative capacity {min(caps)}")
+        if not 0 <= deficit <= 1:
+            raise ParseError(f"line {line_no}: deficit ratio {deficit} outside [0, 1]")
+        for u in unused:
+            if not (u == -1 or 0 <= u <= 1):
+                raise ParseError(f"line {line_no}: unused ratio {u} neither -1 nor in [0, 1]")
         designs.append(
             EvaluatedDesign(design=MicrogridDesign(caps), deficit_ratio=deficit, unused_ratios=unused)
         )

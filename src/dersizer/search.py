@@ -349,7 +349,8 @@ def search_report(
     """The report of a search on `cache`: its non-dominated `designs` within the display threshold.
 
     The threshold applies first, which leaves fewer designs to compare and
-    keeps the same ones (see `non_dominated`).
+    keeps the same ones, a repeated design with its least deficit (see
+    `non_dominated`).
     """
     threshold = search_config.deficit_display_threshold
     return SearchReport(

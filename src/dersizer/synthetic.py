@@ -59,7 +59,11 @@ def two_week_profile(seed: int = 7) -> LoadProfile:
 
 
 def daily_profile(seed: int = 7) -> LoadProfile:
-    """48 half-hour steps covering one day; the small benchmark instance."""
+    """48 half-hour steps covering one day, at the default 40 kW base and 45 kW hump.
+
+    A demo profile: the tests' and the benchmark's desk day is a 48-step day
+    with a 20 kW base and a 70 kW hump.
+    """
     return synthetic_load_profile(n_steps=48, step_seconds=1800.0, seed=seed)
 
 

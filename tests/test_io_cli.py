@@ -412,6 +412,26 @@ def test_cli_filter_rejects_a_repeated_column(desk_cli_dir, capsys):
             "diesel_capacity_kw,sizing_grid_deficit_ratio,diesel_unused_ratio\n60.0,low,0.1000\n",
             "line 2: non-numeric value",
         ),
+        (
+            "diesel_capacity_kw,sizing_grid_deficit_ratio,diesel_unused_ratio\n60.0,0.0,0.1\n-5.0,0.0,0.1\n",
+            "line 3: negative capacity -5.0",
+        ),
+        (
+            "diesel_capacity_kw,sizing_grid_deficit_ratio,diesel_unused_ratio\n50,-0.5,0.7\n",
+            "line 2: deficit ratio -0.5 outside [0, 1]",
+        ),
+        (
+            "diesel_capacity_kw,sizing_grid_deficit_ratio,diesel_unused_ratio\n50,1.5,0.7\n",
+            "line 2: deficit ratio 1.5 outside [0, 1]",
+        ),
+        (
+            "diesel_capacity_kw,sizing_grid_deficit_ratio,diesel_unused_ratio\n50,0.0,7\n",
+            "line 2: unused ratio 7.0 neither -1 nor in [0, 1]",
+        ),
+        (
+            "diesel_capacity_kw,sizing_grid_deficit_ratio,diesel_unused_ratio\n50,0.0,-0.5\n",
+            "line 2: unused ratio -0.5 neither -1 nor in [0, 1]",
+        ),
     ],
 )
 def test_cli_filter_rejects_malformed_results(tmp_path, capsys, text, message):
@@ -563,6 +583,34 @@ def test_cli_filter_removes_dominated_rows(desk_cli_dir):
     assert len(lines) == 3  # header + 40 (cheaper, worse) + 60 (dominates 80)
     assert lines[1].startswith("40.0")
     assert lines[2].startswith("60.0")
+
+
+def test_cli_filter_keeps_the_least_deficit_of_a_repeated_design(desk_cli_dir):
+    raw = desk_cli_dir / "raw.csv"
+    raw.write_text(
+        "diesel_capacity_kw,sizing_grid_deficit_ratio,diesel_unused_ratio\n"
+        "50,0.5,0.1\n"
+        "50,0.0,0.1\n"
+        "60,0.2,0.1\n",
+        encoding="utf-8",
+    )
+    out = desk_cli_dir / "filtered.csv"
+    assert run_cli("filter", str(raw), "--out", str(out)) == 0
+    # the zero-deficit 50 dominates its own 0.5 repeat and the 60
+    assert out.read_text().splitlines() == [
+        "diesel_capacity_kw,sizing_grid_deficit_ratio,diesel_unused_ratio",
+        "50.0,0.0000,0.1000",
+    ]
+
+
+def test_cli_filter_folds_negative_zero(desk_cli_dir):
+    raw = desk_cli_dir / "raw.csv"
+    raw.write_text(
+        "diesel_capacity_kw,sizing_grid_deficit_ratio,diesel_unused_ratio\n-0.0,-0.0,-0.0\n", encoding="utf-8"
+    )
+    out = desk_cli_dir / "filtered.csv"
+    assert run_cli("filter", str(raw), "--out", str(out)) == 0
+    assert out.read_text().splitlines()[1] == "0.0,0.0000,0.0000"
 
 
 def test_cli_exhaustive_coarse_dominated_by_pipeline(desk_cli_dir):
