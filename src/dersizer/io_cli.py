@@ -21,7 +21,6 @@ import os
 import re
 import stat
 import sys
-import time
 from collections.abc import Callable
 from dataclasses import dataclass
 from datetime import datetime
@@ -461,7 +460,6 @@ def report_json_text(report: SearchReport, space: DesignSpace) -> str:
         "per_stage_counts": report.per_stage_counts,
         "all_simulated": report.all_simulated,
         "seed": report.seed,
-        "elapsed_seconds": report.elapsed_seconds,
     }
     return json.dumps(payload, indent=2) + "\n"
 
@@ -625,12 +623,11 @@ def _cmd_exhaustive(args: argparse.Namespace) -> int:
     out_path = _resolve_output(config, args)
     load, space, dispatch = load_inputs(config)
     precision = config.capacity_precision
-    started = time.perf_counter()
     cache = SimulationCache(space, load, dispatch)
     simulated = exhaustive_search(cache, space, load, dispatch, levels, precision)
     counts: dict[str, dict[str, int]] = {}
     record_stage(cache, counts, "exhaustive", len(simulated), levels ** len(space.ders))
-    report = search_report(cache, counts, simulated, config.search, started)
+    report = search_report(cache, counts, simulated, config.search)
     log.info(
         "exhaustive enumeration at %d levels: %d simulations, %d designs kept",
         levels,

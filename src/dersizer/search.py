@@ -85,12 +85,11 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class SearchReport:
-    """Pipeline output: the final design set plus bookkeeping."""
+    """Pipeline output: the final design set plus bookkeeping, all fixed by the inputs and seed."""
 
     final_designs: tuple[EvaluatedDesign, ...]
     all_simulated: int
     per_stage_counts: dict[str, dict[str, int]]
-    elapsed_seconds: float
     seed: int
 
 
@@ -344,7 +343,6 @@ def search_report(
     counts: dict[str, dict[str, int]],
     designs: list[EvaluatedDesign],
     search_config: SearchConfig,
-    started: float,
 ) -> SearchReport:
     """The report of a search on `cache`: its non-dominated `designs` within the display threshold.
 
@@ -357,7 +355,6 @@ def search_report(
         final_designs=tuple(non_dominated([d for d in designs if d.deficit_ratio <= threshold])),
         all_simulated=cache.unique_simulations,
         per_stage_counts=counts,
-        elapsed_seconds=time.perf_counter() - started,
         seed=search_config.rng_seed,
     )
 
@@ -387,11 +384,11 @@ def run_pipeline(
     polished = local_search(cache, fine, non_dominated(refined), passes)
     record_stage(cache, counts, "local_search", len(polished))
 
-    report = search_report(cache, counts, polished, search_config, started)
+    report = search_report(cache, counts, polished, search_config)
     log.info(
         "pipeline done: %d final designs, %d unique simulations, %.2fs",
         len(report.final_designs),
         report.all_simulated,
-        report.elapsed_seconds,
+        time.perf_counter() - started,
     )
     return report

@@ -1,7 +1,8 @@
 """Golden outputs, pinned so a refactor cannot move them.
 
 Most are on the desk instance; the recall pins are also on a 672-step
-half-hourly input, measured against `reference.diesel_bisection_frontier`.
+half-hourly input, measured against `reference.diesel_bisection_frontier`,
+and the four-DER pins add wind to both.
 
 The constants were computed before the refinement stages were rewritten
 around one walk. A change that alters output on purpose updates them and
@@ -10,20 +11,27 @@ says so.
 
 import hashlib
 import itertools
+import os
+import pathlib
+import subprocess
+import sys
+from typing import NamedTuple
 
 import pytest
 
-from dersizer import DispatchConfig
+from dersizer import DerKind, DerSpec, DesignSpace, DispatchConfig, LoadProfile
 from dersizer.core import EvaluatedDesign, MicrogridDesign, deficit_ratio, non_dominated, unused_ratio
 from dersizer.io_cli import main
-from dersizer.search import SearchConfig, build_grids, exhaustive_search, run_pipeline
+from dersizer.search import SearchConfig, SearchReport, build_grids, exhaustive_search, run_pipeline
 from dersizer.simulator import SimulationCache, memoized_operate
 from dersizer.synthetic import synthetic_load_profile
-from helpers import space_for
+from helpers import DESK_BESS_RATIO_H, ceil_to, space_for
 from reference import diesel_bisection_frontier, fold_dispatch_step
 
 SIZE_CSV_SHA256 = "a2690dbca839cd50c818e9b73bb1ff90b1bc26f2447759afe305fae0469a1e3a"
 EXHAUSTIVE_8_CSV_SHA256 = "267261cf7dd072bd67b1a2baf3bc43876ee2ea4a586ba0d3f36b73d61e390d65"
+SIZE_JSON_SHA256 = "76a4b8802a4a3dc007c6fdffde57ba46f22b61df6ae5c8c6ad92fd24b55f6ef8"
+EXHAUSTIVE_8_JSON_SHA256 = "2b3fea9563fd69667d1f044d920f4782f8a6018a14c94ecc9e61608ba18edbcc"
 PIPELINE_SEED = 7
 PIPELINE_ALL_SIMULATED = 366
 PIPELINE_STAGE_COUNTS = {
@@ -70,6 +78,37 @@ RECALL_672_DISPATCH_RUNS = {
     4.0: {"exhaustive": 36, "binary_search": 127, "local_search": 14},
 }
 
+# Four DERs, the paper's mix of sources: diesel, PV, wind at 1x the peak load
+# (the default 0.35 capacity factor) and a battery, at 11 fine levels and rng
+# seed 7, on the desk day (0.5 h battery) and on the 672-step input (2 h).
+FOUR_DER_LEVELS = 11
+# input -> (all_simulated, per_stage_counts, finals repr sha256)
+FOUR_DER_PIPELINES = {
+    "desk": (
+        2481,
+        {
+            "exhaustive": {"simulations": 975, "designs": 975, "pruned": 321, "dispatch_runs": 216},
+            "binary_search": {"simulations": 1482, "designs": 2457, "dispatch_runs": 372},
+            "local_search": {"simulations": 24, "designs": 823, "dispatch_runs": 3},
+        },
+        "6fb5ea429d5623eda865dc8b4c7be740a5ec9eddcd39a86670e1190d3bb7aa33",
+    ),
+    "672-steps": (
+        2465,
+        {
+            "exhaustive": {"simulations": 625, "designs": 625, "pruned": 671, "dispatch_runs": 216},
+            "binary_search": {"simulations": 1821, "designs": 2446, "dispatch_runs": 775},
+            "local_search": {"simulations": 19, "designs": 934, "dispatch_runs": 19},
+        },
+        "59af166cd1bf7c31c9c31d40c299a5638780685c05af5da71d20885ad1c6ef62",
+    ),
+}
+# input -> (oracle simulations, (zero-deficit finals on the frontier, its zero-deficit designs))
+FOUR_DER_RECALL = {"desk": (5782, (86, 106)), "672-steps": (6315, (44, 53))}
+# input -> one-level raises over the whole grid that grow the deficit ratio,
+# per DER (diesel, PV, wind, battery): only a battery raise ever does.
+FOUR_DER_DEFICIT_RAISES = {"desk": (0, 0, 0, 0), "672-steps": (0, 0, 0, 4)}
+
 
 def sha256_of(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -86,6 +125,31 @@ def test_exhaustive_csv_at_8_levels_is_golden(desk_cli_dir):
     argv = ["exhaustive", "--config", str(desk_cli_dir / "config.json"), "--levels", "8", "--out", str(out)]
     assert main(argv) == 0
     assert sha256_of(out) == EXHAUSTIVE_8_CSV_SHA256
+
+
+@pytest.mark.parametrize(
+    ("argv", "sha256"),
+    [
+        (["size"], SIZE_CSV_SHA256),
+        (["size", "--format", "json"], SIZE_JSON_SHA256),
+        (["exhaustive", "--levels", "8"], EXHAUSTIVE_8_CSV_SHA256),
+        (["exhaustive", "--levels", "8", "--format", "json"], EXHAUSTIVE_8_JSON_SHA256),
+    ],
+    ids=["size-csv", "size-json", "exhaustive-8-csv", "exhaustive-8-json"],
+)
+def test_cli_output_is_byte_identical_across_processes(desk_cli_dir, argv, sha256):
+    # pyproject's pythonpath reaches only this process, so the children get src/ explicitly
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    written = []
+    for hash_seed in ("0", "1"):
+        out = desk_cli_dir / f"out_{hash_seed}"
+        command = [sys.executable, "-m", "dersizer.io_cli", *argv, "--config", "config.json", "--out", str(out)]
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": pythonpath}
+        subprocess.run(command, cwd=desk_cli_dir, env=env, check=True, capture_output=True, timeout=120)
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+    assert hashlib.sha256(written[0]).hexdigest() == sha256
 
 
 def test_pipeline_counts_are_golden(desk_load, desk_space):
@@ -174,9 +238,11 @@ def test_pipeline_recall_on_672_steps_is_golden(fortnight_load, fortnight_pipeli
 
 
 def assert_finals_match_the_folded_specification(space, load, report, level_points):
-    """Each final's metrics equal the folded `dispatch_step`'s bit for bit, and a
-    zero-deficit final lowered one level in any DER has a deficit under the fold."""
+    """Each final's metrics, and those of a zero-deficit final lowered one level in
+    any DER, equal the folded `dispatch_step`'s bit for bit, and each such lowered
+    design has a deficit."""
     config = DispatchConfig()
+    cache = SimulationCache(space, load, config)
 
     def folded(design):
         outcome = fold_dispatch_step(space, design, load, config)
@@ -192,7 +258,9 @@ def assert_finals_match_the_folded_specification(space, load, report, level_poin
             for i, k in enumerate(levels):
                 if k > 0:
                     lower = MicrogridDesign(final.capacities[:i] + (grids[i].points[k - 1],) + final.capacities[i + 1 :])
-                    assert folded(lower).deficit_ratio > 0, (final.capacities, i)
+                    specified = folded(lower)
+                    assert repr(specified) == repr(memoized_operate(cache, design=lower))
+                    assert specified.deficit_ratio > 0, (final.capacities, i)
 
 
 def test_desk_finals_at_41_levels_match_the_folded_specification(desk_load, desk_space, desk_pipeline_41):
@@ -202,3 +270,67 @@ def test_desk_finals_at_41_levels_match_the_folded_specification(desk_load, desk
 def test_672_step_finals_match_the_folded_specification(fortnight_load, fortnight_pipeline):
     _, space, report = fortnight_pipeline
     assert_finals_match_the_folded_specification(space, fortnight_load, report, 21)
+
+
+class FourDer(NamedTuple):
+    name: str
+    space: DesignSpace
+    load: LoadProfile
+    report: SearchReport
+    cache: SimulationCache  # the oracle's, shared by later tests
+    oracle_simulations: int
+    frontier: list[EvaluatedDesign]
+
+
+@pytest.fixture(scope="module", params=list(FOUR_DER_PIPELINES))
+def four_der(request, desk_load, fortnight_load) -> FourDer:
+    """A four-DER input's pinned pipeline and its exact frontier."""
+    load, bess_ratio_h = {"desk": (desk_load, DESK_BESS_RATIO_H), "672-steps": (fortnight_load, 2.0)}[request.param]
+    diesel, solar, battery = space_for(load, bess_ratio_h).ders
+    wind = DerSpec(name="wind", kind=DerKind.WIND_TURBINE, upper_bound=ceil_to(load.peak_kw))
+    space = DesignSpace(ders=(diesel, solar, wind, battery))
+    search_config = SearchConfig(fine_level_points=FOUR_DER_LEVELS, rng_seed=PIPELINE_SEED)
+    report = run_pipeline(space, load, DispatchConfig(), search_config)
+    cache = SimulationCache(space, load, DispatchConfig())
+    frontier = diesel_bisection_frontier(
+        cache, build_grids(space, FOUR_DER_LEVELS), search_config.deficit_display_threshold
+    )
+    return FourDer(request.param, space, load, report, cache, cache.unique_simulations, frontier)
+
+
+def test_four_der_pipeline_is_golden(four_der):
+    report = four_der.report
+    digest = hashlib.sha256(repr(report.final_designs).encode()).hexdigest()
+    assert (report.all_simulated, report.per_stage_counts, digest) == FOUR_DER_PIPELINES[four_der.name]
+
+
+def test_four_der_recall_is_golden(four_der):
+    exact_zero = {d.capacities for d in four_der.frontier if d.deficit_ratio == 0}
+    found_zero = {d.capacities for d in four_der.report.final_designs if d.deficit_ratio == 0}
+    assert found_zero <= exact_zero  # no zero-deficit final lies off the exact frontier
+    recall = (four_der.oracle_simulations, (len(found_zero), len(exact_zero)))
+    assert recall == FOUR_DER_RECALL[four_der.name]
+
+
+def test_four_der_deficit_raises_per_der_are_golden(four_der):
+    # Evidence for pruning along the non-battery axes: over every design of the
+    # grid, count the one-level raises of each DER that grow the deficit ratio.
+    grids = build_grids(four_der.space, FOUR_DER_LEVELS)
+    ratio = {}
+    # diesel, DER 0, varies fastest, so the memo serves each non-diesel vector's column
+    for rest in itertools.product(range(FOUR_DER_LEVELS), repeat=len(grids) - 1):
+        for diesel in range(FOUR_DER_LEVELS):
+            levels = (diesel, *rest)
+            design = MicrogridDesign(tuple([g.points[k] for g, k in zip(grids, levels)]))
+            ratio[levels] = memoized_operate(four_der.cache, design=design).deficit_ratio
+    raises = [0] * len(grids)
+    for levels, r in ratio.items():
+        for i, k in enumerate(levels):
+            if k < FOUR_DER_LEVELS - 1 and ratio[levels[:i] + (k + 1,) + levels[i + 1 :]] > r:
+                raises[i] += 1
+    assert tuple(raises) == FOUR_DER_DEFICIT_RAISES[four_der.name]
+
+
+@pytest.mark.parametrize("four_der", ["desk"], indirect=True)  # the fold takes 1.7 s on 672 steps
+def test_four_der_desk_finals_match_the_folded_specification(four_der):
+    assert_finals_match_the_folded_specification(four_der.space, four_der.load, four_der.report, FOUR_DER_LEVELS)

@@ -508,8 +508,6 @@ def test_cli_size_in_process_runs_share_no_memo_state(desk_cli_dir):
         argv = ("size", "--config", config, "--seed", seed, "--format", "json", "--out", str(out))
         assert run_cli(*argv) == 0
     first, _, again = (json.loads(out.read_text()) for out in outs)
-    for payload in (first, again):
-        del payload["elapsed_seconds"]
     assert first == again
     csv_a, csv_b = desk_cli_dir / "a.csv", desk_cli_dir / "b.csv"
     assert run_cli("size", "--config", config, "--out", str(csv_a)) == 0
