@@ -104,12 +104,13 @@ class DesignSpace:
 
 @dataclass(frozen=True, order=True, slots=True)
 class MicrogridDesign:
-    """A capacity vector, one value per DER in the owning DesignSpace."""
+    """A capacity vector, one value per DER in the owning DesignSpace; the simulation cache keys a design by it."""
 
     capacities: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "capacities", tuple(float(c) for c in self.capacities))
+        # + 0.0 folds -0.0 into 0.0, here alone for capacities: no output prints -0.0
+        object.__setattr__(self, "capacities", tuple(float(c) + 0.0 for c in self.capacities))
 
 
 @dataclass(frozen=True)

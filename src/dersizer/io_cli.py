@@ -493,7 +493,7 @@ def write_report(report: SearchReport, path: str, fmt: str, space: DesignSpace) 
         raise ValueError(f"unknown output format {fmt!r}")
     atomic_write(path, text)
     if not report.final_designs:
-        log.warning("no designs passed the deficit threshold; wrote header-only output")
+        log.warning("no designs passed the deficit threshold; wrote an output with no designs")
 
 
 def read_results_csv(text: str) -> tuple[list[str], list[str], list[EvaluatedDesign]]:
@@ -523,8 +523,8 @@ def read_results_csv(text: str) -> tuple[list[str], list[str], list[EvaluatedDes
             continue
         if len(row) != len(header):
             raise ParseError(f"line {line_no}: expected {len(header)} fields, got {len(row)}")
-        try:  # + 0.0 folds a -0.0, which no results file holds
-            caps = tuple(float(c) + 0.0 for c in row[:deficit_at])
+        try:  # + 0.0 folds a -0.0 ratio, which no results file holds (MicrogridDesign folds capacities)
+            caps = tuple(float(c) for c in row[:deficit_at])
             deficit = float(row[deficit_at]) + 0.0
             unused = tuple(float(c) + 0.0 for c in row[deficit_at + 1 :])
         except ValueError:

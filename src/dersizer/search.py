@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from .core import (
     DEFAULT_CAPACITY_PRECISION,
     CapacityGrid,
-    DerKind,
     DesignSpace,
     EvaluatedDesign,
     LoadProfile,
@@ -115,9 +114,9 @@ def _evaluator(
     it for level tuples. The record maps each level tuple asked for, in
     first-asked order, to its metrics. `evaluate` builds the capacities and
     calls `memoized_operate`, looked up at each call, only for levels the
-    record lacks: a repeat would be a cache hit. Two level tuples share a design only when the
-    cache's key rounding merges two grid points, so a stage dedups its
-    record's designs by capacities.
+    record lacks: a repeat would be a cache hit. Two level tuples share a
+    design only when a grid repeats a point, so a stage dedups its record's
+    designs by capacities.
     """
     record: dict[Levels, EvaluatedDesign] = {}
 
@@ -145,8 +144,9 @@ def exhaustive_search(
     pruned without simulating. Pruning assumes that raising a capacity never
     adds a deficit step; a slow battery can break this (a larger one drains
     sooner ahead of diesel), and then a pruned design may have no deficit.
-    Diesel DERs vary fastest, so all diesel levels of one non-diesel vector
-    run back to back on its memoised pre-diesel dispatch; every
+    DERs nest in the cache's merit order, so diesel DERs vary fastest and
+    all diesel levels of one non-diesel vector run back to back on its
+    memoised pre-diesel dispatch; every
     all-descending order visits each raised neighbor first, so the order
     changes no prune decision. Raises ValueError when `cache` serves
     another (space, load, config), and SearchSpaceTooLarge, before building
@@ -166,7 +166,7 @@ def exhaustive_search(
     evaluate, record = _evaluator(cache, grids)
     n_ders = len(space.ders)
     # a visited tuple holds the levels of the DERs in `order`; DER i's is at where[i]
-    order = sorted(range(n_ders), key=lambda i: space.ders[i].kind is DerKind.DIESEL_GENERATOR)
+    order = [*cache.non_diesel_idx, *cache.diesel_idx]
     where = [order.index(i) for i in range(n_ders)]
     tops = [grids[i].n_intervals for i in order]
     # a candidate's neighbor raised one level at position k was visited
@@ -245,9 +245,7 @@ def binary_search_refine(
     pre-diesel dispatch run back to back while the memo still holds it.
     That changes no design found: a walk depends only on its start and its
     child rng, as `evaluate` is a function of levels. Only the order of the
-    returned list moves, unless `key_for` rounds two fine-grid points to
-    one key (a grid spacing below 1e-6): the one asked for first is then
-    simulated for both, and walks through the other may differ.
+    returned list moves.
 
     A sweep is a function of its start levels, DER and direction, so one
     that starts where an earlier one did takes that sweep's end instead of

@@ -246,7 +246,7 @@ class SimulationCache:
     as a list for the battery recurrence). `operate` given the cache raises
     ValueError for another input; an equal but distinct object is the same
     input. It holds:
-    - the metrics of every design evaluated, keyed by `key_for`;
+    - the metrics of every design evaluated, keyed by its capacity vector (`key_for`);
     - the memo of what depends on the non-diesel capacities alone, described at `pre_diesel`.
     Not safe for concurrent use.
     """
@@ -275,12 +275,7 @@ class SimulationCache:
 
     @staticmethod
     def key_for(design: MicrogridDesign) -> tuple[float, ...]:
-        # round for key stability; +0.0 folds -0.0 into 0.0
-        return tuple([round(c, 6) + 0.0 for c in design.capacities])
-
-    def non_diesel_key(self, capacities: tuple[float, ...]) -> tuple[float, ...]:
-        """The non-diesel capacities as values: -0.0 and 0.0, which dispatch alike, share a key."""
-        return tuple([capacities[i] for i in self.non_diesel_idx])
+        return design.capacities
 
     @property
     def unique_simulations(self) -> int:
@@ -301,13 +296,14 @@ class SimulationCache:
         its own rows, and batteries charge only from renewable surplus, so
         this, and the non-diesel DERs' unused ratios that the entry computes
         from its rows, depend on the non-diesel capacities alone. It is
-        memoised by `non_diesel_key`, so -0.0 and 0.0 share an entry. Entries
-        are read-only, as later calls share them, and the least recently used
-        go once their arrays exceed PRE_DIESEL_MEMO_FLOATS floats, but the
-        newest stays even when it alone exceeds them. `dispatch_runs` counts
-        the dispatches run; an evicted vector runs again to equal arrays.
+        memoised by the tuple of those capacities, as the designs are by
+        theirs. Entries are read-only, as later calls share them, and the
+        least recently used go once their arrays exceed PRE_DIESEL_MEMO_FLOATS
+        floats, but the newest stays even when it alone exceeds them.
+        `dispatch_runs` counts the dispatches run; an evicted vector runs
+        again to equal arrays.
         """
-        key = self.non_diesel_key(caps)
+        key = tuple([caps[i] for i in self.non_diesel_idx])
         entry = self._pre_diesel.get(key)
         if entry is not None:
             self._pre_diesel.move_to_end(key)
@@ -380,7 +376,9 @@ def operate(
 def memoized_operate(cache: SimulationCache, *, design: MicrogridDesign) -> EvaluatedDesign:
     """Evaluate a design on the cache's own input, simulating only on a miss.
 
-    Every call validates the design, so a hit raises as a miss would. A miss
+    The key is the capacity vector itself. A hit validates nothing again:
+    every stored design passed `validate_design` in `operate`, which depends
+    only on the capacities, and a hit has exactly the same ones. A miss
     runs `operate` once (see `SimulationCache.pre_diesel` for what it
     reuses), then takes the non-diesel unused ratios from the pre-diesel
     entry, which stays the newest, and computes only the diesel ones. The
@@ -389,7 +387,6 @@ def memoized_operate(cache: SimulationCache, *, design: MicrogridDesign) -> Eval
     key = cache.key_for(design)
     hit = cache._designs.get(key)
     if hit is not None:
-        cache.space.validate_design(design)
         return hit
     outcome = operate(cache.space, design, cache.load, cache.config, cache)
     unused = cache.pre_diesel(design.capacities).unused

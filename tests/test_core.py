@@ -389,6 +389,13 @@ def test_der_spec_validation():
         DerSpec(name="pv", kind=DerKind.PHOTOVOLTAIC, lower_bound=math.inf, upper_bound=math.inf)
     with pytest.raises(ValueError, match="b: discharge_ratio must be finite"):
         DerSpec(name="b", kind=DerKind.BATTERY_STORAGE, upper_bound=1.0, charge_ratio=1.0, discharge_ratio=math.nan)
+    with pytest.raises(ValueError, match="^DER name must be non-empty$"):
+        DerSpec(name="", kind=DerKind.DIESEL_GENERATOR, upper_bound=100.0)
+    with pytest.raises(ValueError, match="^d: lower_bound must be >= 0$"):
+        DerSpec(name="d", kind=DerKind.DIESEL_GENERATOR, lower_bound=-1.0, upper_bound=100.0)
+    for charge, discharge in ((0.0, 1.0), (1.0, -2.0)):
+        with pytest.raises(ValueError, match=r"^b: charge/discharge ratios must be > 0 hours$"):
+            DerSpec(name="b", kind=DerKind.BATTERY_STORAGE, upper_bound=1.0, charge_ratio=charge, discharge_ratio=discharge)
 
 
 def test_design_space_validation():
@@ -397,6 +404,9 @@ def test_design_space_validation():
         DesignSpace(ders=())
     with pytest.raises(ValueError):
         DesignSpace(ders=(d, d))
+    for caps in ((), (10.0, 10.0)):
+        with pytest.raises(ValueError, match=f"^design has {len(caps)} capacities, space has 1 DERs$"):
+            DesignSpace(ders=(d,)).validate_design(MicrogridDesign(caps))
 
 
 def test_validate_design_rejects_negative_capacity_inside_the_tolerance():
@@ -455,6 +465,11 @@ def test_load_profile_validation():
         LoadProfile(times=good.times, durations_s=good.durations_s, demand_kw=(1.0, math.nan, 1.0))
     with pytest.raises(ValueError, match="finite"):
         LoadProfile(times=good.times, durations_s=(1.0, math.inf, 1.0), demand_kw=good.demand_kw)
+    with pytest.raises(ValueError, match="^load profile needs at least one step$"):
+        LoadProfile(times=(), durations_s=(), demand_kw=())
+    for bad in (0.0, -1.0):
+        with pytest.raises(ValueError, match=r"^durations must be > 0$"):
+            LoadProfile(times=good.times, durations_s=(1.0, bad, 1.0), demand_kw=good.demand_kw)
 
 
 def test_load_profile_hash_and_durations_cached_consistently():

@@ -11,6 +11,7 @@ import pytest
 from dersizer import synthetic
 from dersizer.core import EvaluatedDesign, MicrogridDesign, non_dominated
 from dersizer.io_cli import (
+    DEFICIT_COLUMN,
     ParseError,
     align_wind_series,
     atomic_write,
@@ -26,8 +27,9 @@ from dersizer.io_cli import (
     resolve_bounds,
     results_csv_text,
     unused_columns,
+    write_report,
 )
-from dersizer.search import exhaustive_search
+from dersizer.search import SearchReport, exhaustive_search
 from dersizer.simulator import DispatchConfig, SimulationCache
 from dersizer.synthetic import load_profile_csv, two_week_profile
 from helpers import desk_config_document, dominates
@@ -101,6 +103,12 @@ def test_parse_needs_two_rows():
             "line 2: expected 2 fields, got 3",
         ),
         (parse_load_profile, "", "line 1: empty load profile file"),
+        (
+            # a blank line is skipped but still counted
+            parse_load_profile,
+            make_load_csv(["2024-01-01T00:00:00,10", "", "2024-01-01T01:00:00,-1"]),
+            "line 4: negative load -1.0",
+        ),
         (parse_wind_series, "datetime,capacity_factor\n", "wind series has no data rows"),
     ],
 )
@@ -417,6 +425,11 @@ def test_cli_filter_rejects_a_repeated_column(desk_cli_dir, capsys):
             "line 3: negative capacity -5.0",
         ),
         (
+            # blank rows are skipped but still counted
+            "diesel_capacity_kw,sizing_grid_deficit_ratio,diesel_unused_ratio\n60.0,0.0,0.1\n\n , , \n-5.0,0.0,0.1\n",
+            "line 5: negative capacity -5.0",
+        ),
+        (
             "diesel_capacity_kw,sizing_grid_deficit_ratio,diesel_unused_ratio\n50,-0.5,0.7\n",
             "line 2: deficit ratio -0.5 outside [0, 1]",
         ),
@@ -446,6 +459,25 @@ def test_cli_filter_rejects_malformed_results(tmp_path, capsys, text, message):
 def test_empty_results_write_header_only():
     text = results_csv_text(["x_capacity_kw"], ["x_unused_ratio"], [])
     assert text == "x_capacity_kw,sizing_grid_deficit_ratio,x_unused_ratio\n"
+
+
+def test_write_report_warns_on_an_empty_report_and_refuses_an_unknown_format(desk_space, tmp_path, caplog):
+    report = SearchReport(final_designs=(), all_simulated=0, per_stage_counts={}, seed=0)
+    header = ",".join([*capacity_columns(desk_space), DEFICIT_COLUMN, *unused_columns(desk_space)]) + "\n"
+    for fmt in ("csv", "json"):
+        path = tmp_path / f"empty.{fmt}"
+        caplog.clear()
+        write_report(report, str(path), fmt, desk_space)
+        if fmt == "csv":
+            assert path.read_text() == header
+        else:
+            assert json.loads(path.read_text())["designs"] == []
+        assert [r.getMessage() for r in caplog.records] == [
+            "no designs passed the deficit threshold; wrote an output with no designs"
+        ]
+    with pytest.raises(ValueError, match="^unknown output format 'xml'$"):
+        write_report(report, str(tmp_path / "empty.xml"), "xml", desk_space)
+    assert not (tmp_path / "empty.xml").exists()
 
 
 def test_column_names_follow_der_names(desk_space):
@@ -553,6 +585,16 @@ def test_cli_simulate_prints_metrics(desk_cli_dir, capsys):
     assert "sizing_grid_deficit_ratio 1.0000" in lines
     for name in ("diesel", "solar", "battery"):
         assert f"{name}_unused_ratio -1.0000" in lines
+
+
+def test_cli_simulate_never_prints_negative_zero(desk_cli_dir, capsys):
+    config = str(desk_cli_dir / "config.json")
+    assert run_cli("simulate", "--config", config, "--capacities=0,0,0") == 0
+    zeros = capsys.readouterr().out
+    assert run_cli("simulate", "--config", config, "--capacities=-0.0,0,-0.0") == 0
+    out = capsys.readouterr().out
+    assert out == zeros and "-0.0" not in out
+    assert "diesel_capacity_kw 0.0" in out.splitlines()
 
 
 def test_cli_simulate_rejects_wrong_arity(desk_cli_dir):

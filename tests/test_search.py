@@ -121,7 +121,8 @@ def plain_descending_exhaustive(cache, space, level_points):
     return simulated
 
 
-@pytest.mark.parametrize("order", [(0, 1, 2), (1, 0, 2, 3)])
+# the last two list the battery before the solar array, against the cache's merit order
+@pytest.mark.parametrize("order", [(0, 1, 2), (1, 0, 2, 3), (2, 0, 1), (2, 3, 0, 1)])
 def test_exhaustive_diesel_innermost_matches_plain_order_with_fewer_runs(
     desk_load, desk_space, desk_dispatch, monkeypatch, order
 ):
@@ -138,6 +139,10 @@ def test_exhaustive_diesel_innermost_matches_plain_order_with_fewer_runs(
     got = exhaustive_search(cache, space, desk_load, desk_dispatch, levels)
     assert got == plain
     assert cache.unique_simulations == plain_cache.unique_simulations == len(got)
+    # the visits descend with the DERs nested in the cache's merit order, diesel innermost
+    merit = [*cache.non_diesel_idx, *cache.diesel_idx]
+    visited = [[d.capacities[i] for i in merit] for d in cache._designs.values()]
+    assert visited == sorted(visited, reverse=True)
     candidates = math.prod(len(g.points) for g in build_grids(space, levels))
     counts = {}
     record_stage(cache, counts, "exhaustive", len(got), candidates)
@@ -148,7 +153,7 @@ def test_exhaustive_diesel_innermost_matches_plain_order_with_fewer_runs(
 def test_exhaustive_dispatches_each_non_diesel_vector_once(desk_load, desk_space, desk_dispatch):
     cache = SimulationCache(desk_space, desk_load, desk_dispatch)
     simulated = exhaustive_search(cache, desk_space, desk_load, desk_dispatch, 14)
-    vectors = {cache.non_diesel_key(d.capacities) for d in simulated}
+    vectors = {tuple(d.capacities[i] for i in cache.non_diesel_idx) for d in simulated}
     assert len(cache._pre_diesel) == cache.dispatch_runs  # the memo evicted nothing
     assert cache.dispatch_runs == len(vectors) == 14 * 14  # battery-less vectors included
 

@@ -362,9 +362,12 @@ def test_cache_rejects_a_second_input(desk_load, desk_space, desk_dispatch):
 
 
 def test_cache_key_folds_negative_zero():
-    key = SimulationCache.key_for(MicrogridDesign((-0.0, 10.0)))
-    assert key == (0.0, 10.0)
-    assert math.copysign(1.0, key[0]) == 1.0
+    design = MicrogridDesign((-0.0, 10.0, -0.0))
+    key = SimulationCache.key_for(design)
+    assert key == design.capacities == (0.0, 10.0, 0.0)
+    # the design itself holds 0.0, so its key, repr and every output do too
+    assert [math.copysign(1.0, c) for c in design.capacities] == [1.0, 1.0, 1.0]
+    assert repr(design) == "MicrogridDesign(capacities=(0.0, 10.0, 0.0))"
 
 
 def test_memoized_metrics_match_direct_computation(desk_load, desk_space, desk_dispatch):
@@ -387,15 +390,24 @@ def test_memoized_operate_rejects_a_negative_capacity_and_caches_nothing(desk_lo
     assert evaluated.unused_ratios[2] == -1.0
 
 
-def test_memoized_operate_validates_a_design_whose_key_it_holds(desk_load, desk_space, desk_dispatch):
+def test_memoized_operate_validates_a_design_next_to_a_cached_one(desk_load, desk_space, desk_dispatch):
     cache = SimulationCache(desk_space, desk_load, desk_dispatch)
     memoized_operate(cache, design=MicrogridDesign((90.0, 0.0, 0.0)))
-    # rounds to the cached key, but lies outside diesel's bounds, as a fresh cache says
+    # 4e-7 kW above a cached design is another key: a miss, outside diesel's bounds, as a fresh cache says
     outside = MicrogridDesign((90.0000004, 0.0, 0.0))
     for target in (cache, SimulationCache(desk_space, desk_load, desk_dispatch)):
         with pytest.raises(ValueError, match=r"^diesel: capacity 90.0000004 outside \[0.0, 90.0\]$"):
             memoized_operate(target, design=outside)
     assert cache.unique_simulations == 1
+
+
+def test_memoized_operate_keeps_designs_apart_that_differ_by_any_amount(desk_load, desk_space, desk_dispatch):
+    cache = SimulationCache(desk_space, desk_load, desk_dispatch)
+    near, far = MicrogridDesign((45.0, 106.0, 176.0)), MicrogridDesign((45.0000001, 106.0, 176.0))
+    got = [memoized_operate(cache, design=d) for d in (near, far, near, far)]
+    assert [e.design for e in got] == [near, far, near, far]
+    assert got[2] is got[0] and got[3] is got[1]
+    assert (cache.unique_simulations, cache.dispatch_runs) == (2, 1)  # the non-diesel vector is shared
 
 
 def test_diesel_only_change_computes_only_the_diesel_unused_ratio(desk_load, desk_space, desk_dispatch, monkeypatch):
@@ -828,7 +840,7 @@ def reuse_cases(draw):
 @given(reuse_cases(), st.integers(1, 3))
 def test_memoized_reuse_equals_cache_free_metrics_property(case, memo_entries):
     space, load, config, designs = case
-    first: dict[tuple[float, ...], MicrogridDesign] = {}
+    keys: set[tuple[float, ...]] = set()
     # a budget of about `memo_entries` entries, so revisited vectors meet evicted ones
     budget = memo_entries * len(space.ders) * len(load)
     operate_calls = []
@@ -844,8 +856,8 @@ def test_memoized_reuse_equals_cache_free_metrics_property(case, memo_entries):
         cache = SimulationCache(space, load, config)
         for design in designs:
             got = memoized_operate(cache, design=design)
-            # a design the cache has met under an equal key returns that first design
-            design = first.setdefault(SimulationCache.key_for(design), design)
+            # the key is the capacity vector, so a hit returns a design equal to the one asked for
+            keys.add(SimulationCache.key_for(design))
             outcome = operate(space, design, load, config)
             want = EvaluatedDesign(
                 design=design,
@@ -854,7 +866,7 @@ def test_memoized_reuse_equals_cache_free_metrics_property(case, memo_entries):
             )
             assert repr(got) == repr(want)
     # `operate` runs once per miss and never on a hit
-    assert len(operate_calls) == cache.unique_simulations == len(first)
+    assert len(operate_calls) == cache.unique_simulations == len(keys)
     # each visited vector's entry, still held or run again after eviction, has its outcome's unused ratios
     for design in designs:
         outcome = operate(space, design, load, config)
