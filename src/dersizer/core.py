@@ -231,18 +231,17 @@ def capacity_grid(
     level_points is the number of grid points (so 11 points give 10%
     spacing of the bound range). When the spacing and lower bound are
     exact multiples of the precision quantum, points are snapped to the
-    quantum to remove float noise; endpoints are always exact.
+    quantum to remove float noise; endpoints are always exact. Raises
+    ValueError unless the points increase strictly: a level is one design.
     """
     if level_points < 2:
         raise ValueError(f"level_points must be >= 2, got {level_points}")
     lo, hi = spec.lower_bound, spec.upper_bound
-    if hi <= lo:
-        raise ValueError(f"{spec.name}: degenerate capacity range [{lo}, {hi}]")
     n = level_points - 1
     spacing = (hi - lo) / n
 
     quantize = False
-    # hi / precision bounds the quotients of lo, the spacing and every point (0 <= lo < hi);
+    # hi / precision bounds the quotients of lo, the spacing and every point (0 <= lo <= hi);
     # a subnormal precision can overflow it, and then the points are not snapped
     if precision > 0 and math.isfinite(hi / precision):
         steps = spacing / precision
@@ -258,6 +257,8 @@ def capacity_grid(
         points = [round(p / precision) * precision for p in points]
     points[0] = lo
     points[-1] = hi
+    if any(a >= b for a, b in zip(points, points[1:])):
+        raise ValueError(f"{spec.name}: degenerate capacity range [{lo}, {hi}] for {level_points} distinct levels")
     return CapacityGrid(points=tuple(points))
 
 

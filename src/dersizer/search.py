@@ -8,8 +8,8 @@ grid levels and evaluate a design only through `_evaluator`, which turns a
 level tuple into capacities and calls `memoized_operate`. Each refinement
 stage snaps a seed to the fine grid once (a capacity midway between two
 levels goes to the lower one), walks integer levels from there, and
-evaluates every distinct level tuple once, so every design it returns lies
-on the fine grid.
+evaluates every level tuple once, each its own design, so every design it
+returns lies on the fine grid.
 The stages run on one thread, seed by seed (the binary stage walks seeds
 that share non-diesel levels back to back); results are deterministic for a
 fixed (inputs, rng_seed).
@@ -114,9 +114,8 @@ def _evaluator(
     it for level tuples. The record maps each level tuple asked for, in
     first-asked order, to its metrics. `evaluate` builds the capacities and
     calls `memoized_operate`, looked up at each call, only for levels the
-    record lacks: a repeat would be a cache hit. Two level tuples share a
-    design only when a grid repeats a point, so a stage dedups its record's
-    designs by capacities.
+    record lacks: a repeat would be a cache hit. No grid repeats a point
+    (`capacity_grid` refuses one), so each level tuple is its own design.
     """
     record: dict[Levels, EvaluatedDesign] = {}
 
@@ -146,13 +145,12 @@ def exhaustive_search(
     sooner ahead of diesel), and then a pruned design may have no deficit.
     DERs nest in the cache's merit order, so diesel DERs vary fastest and
     all diesel levels of one non-diesel vector run back to back on its
-    memoised pre-diesel dispatch; every
-    all-descending order visits each raised neighbor first, so the order
-    changes no prune decision. Raises ValueError when `cache` serves
-    another (space, load, config), and SearchSpaceTooLarge, before building
-    any grid, for more than PRODUCT_SAFETY_CAP candidates. Returns the
-    simulated designs in the order of a plain descending enumeration (the
-    first DER varying slowest).
+    memoised pre-diesel dispatch; every all-descending order visits each
+    raised neighbor first, so the order changes no prune decision. Raises
+    ValueError when `cache` serves another (space, load, config), and
+    SearchSpaceTooLarge, before building any grid, for more than
+    PRODUCT_SAFETY_CAP candidates. Returns the simulated designs in the
+    order of a plain descending enumeration (the first DER varying slowest).
     """
     cache._check_input(space, load, dispatch_config)
     total = level_points ** len(space.ders)
@@ -237,8 +235,8 @@ def binary_search_refine(
     between two goes to the lower one), then searched in `passes` rounds
     over rng-ordered DERs: each DER walks integer levels in halving steps,
     downward while no deficit appears, upward until one disappears.
-    Returns every distinct design evaluated, snapped seeds included, so
-    each lies on the fine grids.
+    Returns every design evaluated, snapped seeds included, so each lies
+    on the fine grids.
 
     Each seed draws its child rng in seed order, but the seeds are walked
     stably sorted by their snapped non-diesel levels, so seeds that share a
@@ -276,7 +274,7 @@ def binary_search_refine(
                 if key not in sweeps:
                     sweeps[key] = _sweep(evaluate, levels, current, i, tops[i], decrease)
                 levels, current, decrease = sweeps[key]
-    return list({d.capacities: d for d in record.values()}.values())
+    return list(record.values())
 
 
 def local_search(
@@ -293,8 +291,8 @@ def local_search(
     step and downward only, so it stops at the first deficit; a snapped
     seed with a deficit is kept as it is. DERs are lowered in fixed index
     order, repeating for `passes` rounds so slack opened by one DER's
-    descent can be recovered from the ones before it. Returns every
-    distinct design evaluated, so each lies on the fine grids.
+    descent can be recovered from the ones before it. Returns every design
+    evaluated, so each lies on the fine grids.
     """
     evaluate, record = _evaluator(cache, grids)
     tops = [g.n_intervals for g in grids]
@@ -305,7 +303,7 @@ def local_search(
             for _ in range(passes):
                 for i, top in enumerate(tops):
                     levels, current, _ = _walk(evaluate, levels, current, i, top, -1)
-    return list({d.capacities: d for d in record.values()}.values())
+    return list(record.values())
 
 
 def record_stage(
@@ -368,12 +366,13 @@ def run_pipeline(
     started = time.perf_counter()
     cache = SimulationCache(space, load, dispatch_config)
     counts: dict[str, dict[str, int]] = {}
+    # built first, so a fine grid that `capacity_grid` refuses stops the run before any simulation
+    fine = build_grids(space, search_config.fine_level_points, precision)
 
     coarse_levels = search_config.coarse_level_points
     coarse = exhaustive_search(cache, space, load, dispatch_config, coarse_levels, precision)
     record_stage(cache, counts, "exhaustive", len(coarse), coarse_levels ** len(space.ders))
 
-    fine = build_grids(space, search_config.fine_level_points, precision)
     passes = len(space.ders) if search_config.outer_passes is None else search_config.outer_passes
     rng = random.Random(search_config.rng_seed)
     refined = binary_search_refine(cache, fine, coarse, rng, passes)

@@ -35,6 +35,12 @@ def desk_load() -> LoadProfile:
 
 
 @pytest.fixture(scope="session")
+def fortnight_load() -> LoadProfile:
+    """Two weeks of half-hourly load (672 steps), where nonzero deficits come in steps of 1/672."""
+    return synthetic_load_profile(n_steps=672, step_seconds=1800.0, seed=7)
+
+
+@pytest.fixture(scope="session")
 def desk_space(desk_load) -> DesignSpace:
     return space_for(desk_load)
 

@@ -2,9 +2,10 @@
 
 `dispatch_step` states the dispatch policy for one time step, and
 `fold_dispatch_step` folds it over a load horizon: the outcome that
-`simulator.operate` must equal bit for bit. `diesel_bisection_frontier`
-is the exact frontier of a capacity grid, against which the search's
-recall is measured.
+`simulator.operate` must equal bit for bit. `diesel_from_residual` states
+a diesel unit's metrics as threshold counts on the load the other DERs
+leave it. `diesel_bisection_frontier` is the exact frontier of a capacity
+grid, against which the search's recall is measured.
 """
 
 from __future__ import annotations
@@ -171,6 +172,22 @@ def fold_dispatch_step(
         per_der_available=available,
         per_der_used=np.array(used_rows).T.copy(),
     )
+
+
+def diesel_from_residual(residual: np.ndarray, capacity: float) -> tuple[np.ndarray, float]:
+    """The deficit flags and the unused ratio of one diesel unit of `capacity` serving `residual`.
+
+    `residual` is the load left before this unit, step by step. A step is
+    short exactly when `residual - capacity > EPS_POWER`. The unused ratio
+    is -1 when `capacity <= EPS_POWER` (no step has power available), and
+    otherwise the share of steps with `residual < capacity - EPS_POWER`. A
+    second unit serves `residual - capacity`, clamped or not, so with two
+    units a step is short when `(r - d1) - d2 > EPS_POWER`.
+    """
+    flags = residual - capacity > EPS_POWER
+    if capacity <= EPS_POWER:
+        return flags, -1.0
+    return flags, int(np.count_nonzero(residual < capacity - EPS_POWER)) / len(residual)
 
 
 def diesel_bisection_frontier(

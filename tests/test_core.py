@@ -4,6 +4,7 @@ import dataclasses
 import math
 import pickle
 import random
+import re
 
 import numpy as np
 import pytest
@@ -53,8 +54,19 @@ def test_grid_eleven_points_ten_percent_spacing():
 
 def test_grid_degenerate_range_rejected():
     spec = DerSpec(name="d", kind=DerKind.DIESEL_GENERATOR, lower_bound=50.0, upper_bound=50.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("d: degenerate capacity range [50.0, 50.0] for 6 distinct levels")):
         capacity_grid(spec, 6)
+    # one ulp apart: two distinct points, while 11 levels would repeat 1.0 six times
+    narrow = DerSpec(name="pv", kind=DerKind.PHOTOVOLTAIC, lower_bound=1.0, upper_bound=1.0000000000000002)
+    assert capacity_grid(narrow, 2).points == (1.0, 1.0000000000000002)
+    message = "pv: degenerate capacity range [1.0, 1.0000000000000002] for 11 distinct levels"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        capacity_grid(narrow, 11)
+    # 171 subnormal units over 100 intervals: the spacing rounds up to 2 units,
+    # so the points are distinct but pass the upper bound and end out of order
+    tiny = DerSpec(name="pv", kind=DerKind.PHOTOVOLTAIC, upper_bound=8.45e-322)
+    with pytest.raises(ValueError, match=re.escape("pv: degenerate capacity range [0.0, 8.45e-322] for 101 distinct")):
+        capacity_grid(tiny, 101, 0.0)
 
 
 def test_grid_too_few_points_rejected():

@@ -19,12 +19,18 @@ from typing import NamedTuple
 
 import pytest
 
-from dersizer import DerKind, DerSpec, DesignSpace, DispatchConfig, LoadProfile
+from dersizer import DerKind, DerSpec, DesignSpace, DispatchConfig, LoadProfile, search
 from dersizer.core import EvaluatedDesign, MicrogridDesign, deficit_ratio, non_dominated, unused_ratio
 from dersizer.io_cli import main
-from dersizer.search import SearchConfig, SearchReport, build_grids, exhaustive_search, run_pipeline
+from dersizer.search import (
+    SearchConfig,
+    SearchReport,
+    build_grids,
+    exhaustive_search,
+    run_pipeline,
+    search_report,
+)
 from dersizer.simulator import SimulationCache, memoized_operate
-from dersizer.synthetic import synthetic_load_profile
 from helpers import DESK_BESS_RATIO_H, ceil_to, space_for
 from reference import diesel_bisection_frontier, fold_dispatch_step
 
@@ -77,6 +83,22 @@ RECALL_672_DISPATCH_RUNS = {
     2.0: {"exhaustive": 36, "binary_search": 107, "local_search": 8},
     4.0: {"exhaustive": 36, "binary_search": 127, "local_search": 14},
 }
+
+# `exhaustive_search` at 14 levels on the 672-step input, its report (the
+# non-dominated designs within the display threshold) against the exact
+# frontier. It prunes a design when a raised neighbour has any deficit,
+# though its own may lie within the threshold, so a dominated design can
+# be reported in place of a pruned one. Every reported zero-deficit design
+# is exact.
+# battery ratio (h) -> (reported not exact, exact not reported,
+#   (reported zero-deficit designs, exact zero-deficit designs))
+EXHAUSTIVE_14_AGAINST_EXACT = {2.0: (3, 3, (8, 8)), 4.0: (4, 8, (13, 14))}
+
+# The finals of the pipelines pinned above (the desk at 41 fine levels, the
+# 672-step inputs at 21, rng seed 7), each counted under the first stage
+# that returned it: (exhaustive, binary search, local search). The global
+# search builds the set and the local search refines it.
+FINALS_BY_FIRST_STAGE = {"desk": (0, 28, 0), 2.0: (1, 23, 3), 4.0: (2, 44, 4)}
 
 # Four DERs, the paper's mix of sources: diesel, PV, wind at 1x the peak load
 # (the default 0.35 capacity factor) and a battery, at 11 fine levels and rng
@@ -189,11 +211,6 @@ def test_pipeline_recall_at_21_levels_is_golden(desk_load, desk_space, desk_orac
     assert (len(found), report.all_simulated) == RECALL_21_BY_SEED[rng_seed]
 
 
-@pytest.fixture(scope="module")
-def fortnight_load():
-    return synthetic_load_profile(n_steps=672, step_seconds=1800.0, seed=7)
-
-
 def test_diesel_bisection_frontier_equals_full_enumeration(fortnight_load):
     space = space_for(fortnight_load, bess_ratio_h=4.0)
     grids = build_grids(space, 11)
@@ -235,6 +252,52 @@ def test_pipeline_recall_on_672_steps_is_golden(fortnight_load, fortnight_pipeli
     ) == RECALL_672_BY_RATIO[bess_ratio_h]
     runs = {stage: counts["dispatch_runs"] for stage, counts in report.per_stage_counts.items()}
     assert runs == RECALL_672_DISPATCH_RUNS[bess_ratio_h]
+
+
+@pytest.mark.parametrize("bess_ratio_h", sorted(EXHAUSTIVE_14_AGAINST_EXACT))
+def test_exhaustive_report_against_the_exact_frontier_on_672_steps_is_golden(fortnight_load, bess_ratio_h):
+    space = space_for(fortnight_load, bess_ratio_h)
+    search_config = SearchConfig()
+    cache = SimulationCache(space, fortnight_load, DispatchConfig())
+    designs = exhaustive_search(cache, space, fortnight_load, DispatchConfig(), 14)
+    reported = search_report(cache, {}, designs, search_config).final_designs
+    oracle_cache = SimulationCache(space, fortnight_load, DispatchConfig())
+    exact = diesel_bisection_frontier(oracle_cache, build_grids(space, 14), search_config.deficit_display_threshold)
+    found, wanted = {d.capacities for d in reported}, {d.capacities for d in exact}
+    found_zero = {d.capacities for d in reported if d.deficit_ratio == 0}
+    wanted_zero = {d.capacities for d in exact if d.deficit_ratio == 0}
+    assert found_zero <= wanted_zero
+    counts = (len(found - wanted), len(wanted - found), (len(found_zero), len(wanted_zero)))
+    assert counts == EXHAUSTIVE_14_AGAINST_EXACT[bess_ratio_h]
+
+
+@pytest.mark.parametrize("name", list(FINALS_BY_FIRST_STAGE))
+def test_finals_by_first_stage_to_return_them_are_golden(desk_load, desk_space, fortnight_load, monkeypatch, name):
+    returned: list[set] = []  # each stage's designs, in stage order
+
+    def recording(stage):
+        run = getattr(search, stage)
+
+        def recorded(*args):
+            designs = run(*args)
+            returned.append({d.capacities for d in designs})
+            return designs
+
+        return recorded
+
+    for stage in ("exhaustive_search", "binary_search_refine", "local_search"):
+        monkeypatch.setattr(search, stage, recording(stage))
+    load, space, level_points = (
+        (desk_load, desk_space, 41) if name == "desk" else (fortnight_load, space_for(fortnight_load, name), 21)
+    )
+    search_config = SearchConfig(fine_level_points=level_points, rng_seed=PIPELINE_SEED)
+    report = run_pipeline(space, load, DispatchConfig(), search_config)
+    assert len(returned) == 3
+    split = [0, 0, 0]
+    for final in report.final_designs:
+        split[next(k for k, caps in enumerate(returned) if final.capacities in caps)] += 1
+    assert sum(split) == len(report.final_designs)
+    assert tuple(split) == FINALS_BY_FIRST_STAGE[name]
 
 
 def assert_finals_match_the_folded_specification(space, load, report, level_points):

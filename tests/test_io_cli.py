@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import logging
 import os
 import re
 import stat
@@ -711,6 +712,27 @@ def test_cli_bad_level_counts_and_precision_exit_2(desk_cli_dir, capsys, field, 
     out = desk_cli_dir / "x.csv"
     assert run_cli("size", "--config", str(bad), "--out", str(out)) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("upper", [1.0000000000000002, 1.000000000000001])
+def test_cli_range_too_narrow_for_its_levels_exits_2(desk_cli_dir, capsys, caplog, upper):
+    # 1 + 1 ulp repeats a point at both the coarse 6 and the fine 11 levels;
+    # 1 + 5 ulp only at 11, which `size` checks before the exhaustive stage runs
+    caplog.set_level(logging.INFO, logger="dersizer")
+    doc = json.loads((desk_cli_dir / "config.json").read_text())
+    solar = next(der for der in doc["ders"] if der["name"] == "solar")
+    solar.pop("peak_multiplier", None)
+    solar.update(lower_bound=1.0, upper_bound=upper)
+    config = desk_cli_dir / "narrow.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    out = desk_cli_dir / "x.csv"
+    assert run_cli("size", "--config", str(config), "--out", str(out)) == 2
+    assert f"solar: degenerate capacity range [1.0, {upper!r}] for 11 distinct levels" in capsys.readouterr().err
+    assert not any("stage:" in r.getMessage() for r in caplog.records)
+    levels = "6" if upper == 1.0000000000000002 else "11"
+    assert run_cli("exhaustive", "--config", str(config), "--levels", levels, "--out", str(out)) == 2
+    assert f"solar: degenerate capacity range [1.0, {upper!r}] for {levels} distinct levels" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,6 +1,7 @@
 """Dispatch policy, availability models, cache semantics, and the
 monotonicity property the pruning stage depends on."""
 
+import itertools
 import math
 import random
 from dataclasses import replace
@@ -26,6 +27,7 @@ from dersizer.core import (
     deficit_ratio,
     unused_ratio,
 )
+from dersizer.search import build_grids
 from dersizer.simulator import (
     DispatchConfig,
     SimulationCache,
@@ -35,8 +37,14 @@ from dersizer.simulator import (
     wind_availability,
 )
 from dersizer.synthetic import synthetic_load_profile, two_week_profile
-from helpers import space_for, with_capacity
-from reference import discharge_capability_kw, dispatch_step, fold_dispatch_step, initial_bess_state
+from helpers import ceil_to, space_for, with_capacity
+from reference import (
+    diesel_from_residual,
+    discharge_capability_kw,
+    dispatch_step,
+    fold_dispatch_step,
+    initial_bess_state,
+)
 
 
 def stamps(*hours):
@@ -430,6 +438,47 @@ def test_diesel_only_change_computes_only_the_diesel_unused_ratio(desk_load, des
     assert computed == [45.0]  # the solar and battery ratios come from the pre-diesel entry
     assert second.unused_ratios[1:] == first.unused_ratios[1:]
     assert (cache.unique_simulations, cache.dispatch_runs, len(cache._pre_diesel)) == (2, 1, 1)
+
+
+def two_diesel_space(load: LoadProfile) -> DesignSpace:
+    """`space_for(load, 2.0)` with a second diesel unit of half the peak, served after the first."""
+    diesel, solar, battery = space_for(load, 2.0).ders
+    second = DerSpec(name="diesel2", kind=DerKind.DIESEL_GENERATOR, upper_bound=ceil_to(load.peak_kw / 2))
+    return DesignSpace(ders=(diesel, second, solar, battery))
+
+
+@pytest.mark.parametrize(
+    "name, level_points",
+    [("desk", 21), ("672-steps-2h", 11), ("672-steps-4h", 11), ("672-steps-two-diesels", 6)],
+)
+def test_diesel_metrics_are_threshold_counts_on_the_pre_diesel_residual(desk_load, fortnight_load, name, level_points):
+    # every design of the grid: the deficit ratio and each diesel's unused ratio
+    # follow from the residual the non-diesel DERs leave, by `reference.diesel_from_residual`
+    load, space = {
+        "desk": (desk_load, space_for(desk_load)),
+        "672-steps-2h": (fortnight_load, space_for(fortnight_load, 2.0)),
+        "672-steps-4h": (fortnight_load, space_for(fortnight_load, 4.0)),
+        "672-steps-two-diesels": (fortnight_load, two_diesel_space(fortnight_load)),
+    }[name]
+    cache = SimulationCache(space, load, DispatchConfig())
+    grids = build_grids(space, level_points)
+    order = [*cache.non_diesel_idx, *cache.diesel_idx]  # each diesel column runs on one memo entry
+    deficits = set()
+    for visit in itertools.product(*(grids[i].points for i in order)):
+        caps = dict(zip(order, visit))
+        evaluated = memoized_operate(cache, design=MicrogridDesign(tuple([caps[i] for i in range(len(order))])))
+        residual = cache.pre_diesel(evaluated.capacities).residual
+        unused = []
+        for i in cache.diesel_idx:
+            flags, ratio = diesel_from_residual(residual, caps[i])
+            residual = residual - caps[i]
+            unused.append(ratio)
+        deficit = math.fsum(load.durations_array[flags].tolist()) / load.durations_sum
+        expected = (evaluated.deficit_ratio, [evaluated.unused_ratios[i] for i in cache.diesel_idx])
+        assert repr((deficit, unused)) == repr(expected), evaluated.capacities
+        deficits.add(deficit)
+    assert cache.unique_simulations == level_points ** len(order)
+    assert 0.0 in deficits and len(deficits) > 2
 
 
 def test_pre_diesel_runs_a_battery_vector_once(desk_load, desk_space, desk_dispatch):
